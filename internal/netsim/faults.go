@@ -141,6 +141,11 @@ func RandomLinkFaults(g *graph.Graph, frac float64, start, spread int64, seed ui
 // internal tables on the surviving graph. The masks are snapshots owned
 // by the caller: implementations must copy what they keep.
 //
+// UpdateFaults is the only point at which a router's answers may change:
+// between two calls, Candidates must return the same list for the same
+// (PacketState, sw). After each call the engines route every waiting
+// packet afresh on its next attempt.
+//
 // Routers that do not implement FaultAware still work under a FaultPlan:
 // the simulator masks dead channels at grant time, so their packets
 // head-block on dead next hops and fall to the timeout/retry transport

@@ -63,7 +63,11 @@ func descState(d bool) uint8 {
 }
 
 // Router supplies next-hop candidates for packets. Implementations must
-// be deterministic functions of the packet state and current switch.
+// be deterministic functions of the packet state and current switch:
+// for a given (PacketState, sw), Candidates must return the same list on
+// every call until the engine next calls FaultAware.UpdateFaults. The
+// VCT engine relies on this to reuse a blocked head's candidates across
+// cycles instead of routing it again on every attempt (DESIGN.md §8).
 type Router interface {
 	// Candidates appends the options for the packet at sw and returns the
 	// extended slice. Adaptive options come first, escape options last;

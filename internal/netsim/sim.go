@@ -49,10 +49,13 @@ type vcEntry struct {
 	routableAt int64 // header arrival + pipeline delay
 }
 
-// vcQueue is a FIFO of packets sharing one input VC buffer.
+// vcQueue is a FIFO of packets sharing one input VC buffer. memo is the
+// route memo of the blocked head packet (index+1 into Sim.memos, 0 =
+// none); see keepRoute.
 type vcQueue struct {
 	entries []vcEntry
 	head    int
+	memo    int32
 }
 
 func (q *vcQueue) empty() bool { return q.head >= len(q.entries) }
@@ -72,6 +75,21 @@ func (q *vcQueue) pop() {
 		q.head = 0
 	}
 }
+
+// routeMemo keeps a blocked head's routing answer: its candidate list
+// and each candidate's resolved output channel (chanPerAttempt where
+// parallel live links leave the choice to findOutChan on every attempt).
+// It is valid while epoch matches Sim.routeEpoch.
+type routeMemo struct {
+	cands []Candidate
+	chans []int32
+	epoch uint64
+}
+
+// chanPerAttempt marks a memoized candidate whose neighbor is reachable
+// over more than one live channel: findOutChan prefers an idle one, so
+// the channel is resolved again on every attempt.
+const chanPerAttempt int32 = -2
 
 // Deferred mutations are scheduled on a timing wheel: a ring of per-cycle
 // slots whose size exceeds the maximum scheduling horizon (packet length
@@ -155,7 +173,20 @@ type Sim struct {
 	rrIn []int // per-switch round-robin input pointer
 	rrVC []int // per-channel round-robin VC pointer
 
-	scratch []Candidate // reusable candidate buffer
+	// Occupancy: non-empty VC queues per switch and per input channel,
+	// kept by enqueue/dequeue so allocate visits only where packets are.
+	swOcc   []int32
+	chanOcc []int32
+
+	// Route reuse: a head whose grant failed keeps its routing answer in
+	// a pooled memo until it leaves its queue or routeEpoch advances
+	// (fault masks, router tables or the recovery escape changed).
+	memos      []routeMemo
+	freeMemos  []int32
+	routeEpoch uint64
+
+	scratch      []Candidate // reusable candidate buffer
+	scratchChans []int32     // resolved channels of scratch
 
 	wheel *timingWheel[wheelEv]
 
@@ -290,6 +321,8 @@ func NewSim(cfg Config, g *graph.Graph, rt Router, p traffic.Pattern, rate float
 	s.hostQ = make([][]*packet, hosts)
 	s.rrIn = make([]int, nSw)
 	s.rrVC = make([]int, nChan)
+	s.swOcc = make([]int32, nSw)
+	s.chanOcc = make([]int32, nChan)
 	s.edgeDead = make([]bool, g.M())
 	s.swDead = make([]bool, nSw)
 	s.chanDead = make([]bool, nChan)
@@ -418,9 +451,12 @@ func (s *Sim) outChanOf(sw int, h graph.Half) int32 {
 	return 2*h.Edge + 1
 }
 
-// chanFor resolves a candidate to a directed channel, honoring a pinned
-// physical edge when the router specified one.
-func (s *Sim) chanFor(sw int, cand Candidate) int32 {
+// resolveChan resolves a candidate to a directed channel for the route
+// memo, honoring a pinned physical edge when the router specified one.
+// An unpinned hop to a neighbor with several live channels returns
+// chanPerAttempt: findOutChan's idle-port preference changes from cycle
+// to cycle. Everything else it reads changes only at a routing epoch.
+func (s *Sim) resolveChan(sw int, cand Candidate) int32 {
 	if ei := cand.pinnedEdge(); ei >= 0 {
 		e := s.g.Edge(int(ei))
 		if e.U == int32(sw) && e.V == cand.Next {
@@ -431,7 +467,21 @@ func (s *Sim) chanFor(sw int, cand Candidate) int32 {
 		}
 		return -1
 	}
-	return s.findOutChan(sw, int(cand.Next))
+	oc := int32(-1)
+	for _, h := range s.g.Neighbors(sw) {
+		if h.To != cand.Next {
+			continue
+		}
+		c := s.outChanOf(sw, h)
+		if s.faultActive && s.chanDead[c] {
+			continue
+		}
+		if oc >= 0 {
+			return chanPerAttempt
+		}
+		oc = c
+	}
+	return oc
 }
 
 // findOutChan locates the directed channel from sw to next. With parallel
@@ -476,11 +526,7 @@ func (s *Sim) Run() (Result, error) {
 	}
 	s.lastProgress = 0
 	for s.now = 0; s.now < end; s.now++ {
-		s.applyFaults()
-		s.processEvents()
-		s.inject()
-		s.allocate()
-		s.recoverStep()
+		s.cycle()
 		if s.violation != nil {
 			return s.result(), s.violation
 		}
@@ -501,6 +547,15 @@ func (s *Sim) Run() (Result, error) {
 		return s.result(), s.violation
 	}
 	return s.result(), nil
+}
+
+// cycle runs the phases of one simulated cycle at s.now.
+func (s *Sim) cycle() {
+	s.applyFaults()
+	s.processEvents()
+	s.inject()
+	s.allocate()
+	s.recoverStep()
 }
 
 // finalRecovery resolves the abort backlog at the end of a completed
@@ -537,7 +592,7 @@ func (s *Sim) processEvents() {
 				s.faultDrop(ev.pkt, "FAULT")
 				continue
 			}
-			s.vcq[ev.vcIdx].push(vcEntry{pkt: ev.pkt, routableAt: s.now + s.cfg.PipelineCycles})
+			s.enqueue(ev.vcIdx, vcEntry{pkt: ev.pkt, routableAt: s.now + s.cfg.PipelineCycles})
 		case evCredit:
 			s.credits[ev.vcIdx] += ev.amt
 		case evDeliver:
@@ -545,6 +600,34 @@ func (s *Sim) processEvents() {
 		case evRetry:
 			s.reinject(ev.pkt)
 		}
+	}
+}
+
+// enqueue appends a packet to input VC vcIdx, keeping the occupancy
+// counts.
+func (s *Sim) enqueue(vcIdx int32, e vcEntry) {
+	q := &s.vcq[vcIdx]
+	if q.empty() {
+		c := vcIdx / int32(s.cfg.VCs)
+		s.chanOcc[c]++
+		s.swOcc[s.chanDst[c]]++
+	}
+	q.push(e)
+}
+
+// dequeue removes the head of input VC vcIdx, releasing its route memo
+// and keeping the occupancy counts.
+func (s *Sim) dequeue(vcIdx int32) {
+	q := &s.vcq[vcIdx]
+	if q.memo != 0 {
+		s.freeMemos = append(s.freeMemos, q.memo-1)
+		q.memo = 0
+	}
+	q.pop()
+	if q.empty() {
+		c := vcIdx / int32(s.cfg.VCs)
+		s.chanOcc[c]--
+		s.swOcc[s.chanDst[c]]--
 	}
 }
 
@@ -737,23 +820,28 @@ func (s *Sim) driveHosts() {
 // allocate performs routing, VC allocation and switch allocation for one
 // cycle: every input port may launch at most one packet, every output
 // port may accept at most one.
+//
+// Switches and input channels with no queued packet are skipped: a visit
+// there grants nothing, moves no round-robin pointer and has no other
+// side effect, so the skip leaves every cycle exactly as a full scan
+// would.
 func (s *Sim) allocate() {
 	for sw := 0; sw < s.nSw; sw++ {
-		if s.faultActive && s.swDead[sw] {
+		if s.swOcc[sw] == 0 || (s.faultActive && s.swDead[sw]) {
 			continue
 		}
 		ins := s.inChans[sw]
-		if len(ins) == 0 {
-			continue
-		}
 		// Tier 1: through traffic, round-robin.
 		thru := ins[:s.thruCount[sw]]
 		granted := false
-		if len(thru) > 0 {
-			start := s.rrIn[sw] % len(thru)
-			for k := 0; k < len(thru); k++ {
-				c := thru[(start+k)%len(thru)]
-				if s.inBusy[c] > s.now {
+		if n := len(thru); n > 0 {
+			start := s.rrIn[sw] % n
+			for k, i := 0, start; k < n; k++ {
+				c := thru[i]
+				if i++; i == n {
+					i = 0
+				}
+				if s.chanOcc[c] == 0 || s.inBusy[c] > s.now {
 					continue
 				}
 				if s.tryInput(sw, c) {
@@ -761,12 +849,12 @@ func (s *Sim) allocate() {
 				}
 			}
 			if granted {
-				s.rrIn[sw] = (start + 1) % len(thru)
+				s.rrIn[sw] = (start + 1) % n
 			}
 		}
 		// Tier 2: injection channels take whatever outputs remain.
 		for _, c := range ins[s.thruCount[sw]:] {
-			if s.inBusy[c] > s.now {
+			if s.chanOcc[c] == 0 || s.inBusy[c] > s.now {
 				continue
 			}
 			s.tryInput(sw, c)
@@ -779,9 +867,12 @@ func (s *Sim) allocate() {
 func (s *Sim) tryInput(sw int, c int32) bool {
 	vcs := s.cfg.VCs
 	startVC := s.rrVC[c] % vcs
-	for j := 0; j < vcs; j++ {
-		vc := (startVC + j) % vcs
-		q := &s.vcq[c*int32(vcs)+int32(vc)]
+	for j, vc := 0, startVC; j < vcs; j, vc = j+1, vc+1 {
+		if vc == vcs {
+			vc = 0
+		}
+		vcIdx := c*int32(vcs) + int32(vc)
+		q := &s.vcq[vcIdx]
 		if q.empty() {
 			continue
 		}
@@ -807,14 +898,14 @@ func (s *Sim) tryInput(sw int, c int32) bool {
 			// unreachable) drains back to the source retry path instead
 			// of wedging the network.
 			p := e.pkt
-			q.pop()
+			s.dequeue(vcIdx)
 			s.timedOutTotal++
 			s.returnCredits(c, int32(vc))
 			s.faultDrop(p, "TIMEOUT")
 			continue
 		}
 		if s.grant(sw, c, int32(vc), e.pkt) {
-			q.pop()
+			s.dequeue(vcIdx)
 			s.rrVC[c] = (vc + 1) % vcs
 			return true
 		}
@@ -882,6 +973,12 @@ func (s *Sim) grant(sw int, c, vc int32, p *packet) bool {
 			s.mon.HopTTL, p.st.SrcSw, p.st.DstSw, sw)
 		return false
 	}
+	q := &s.vcq[c*int32(s.cfg.VCs)+vc]
+	if q.memo != 0 {
+		if m := &s.memos[q.memo-1]; m.epoch == s.routeEpoch {
+			return s.launch(sw, c, vc, p, m.cands, m.chans)
+		}
+	}
 	if p.recovering {
 		// A recovery-reinjected packet rides the up*/down* escape network
 		// exclusively; it never re-enters the routing function whose
@@ -890,7 +987,35 @@ func (s *Sim) grant(sw int, c, vc int32, p *packet) bool {
 	} else {
 		s.scratch = s.rt.Candidates(p.st, sw, s.scratch[:0])
 	}
-	return s.launch(sw, c, vc, p, s.scratch)
+	s.scratchChans = s.scratchChans[:0]
+	for _, cand := range s.scratch {
+		s.scratchChans = append(s.scratchChans, s.resolveChan(sw, cand))
+	}
+	if s.launch(sw, c, vc, p, s.scratch, s.scratchChans) {
+		return true
+	}
+	s.keepRoute(q)
+	return false
+}
+
+// keepRoute stores the routing answer in scratch as the route memo of
+// q's blocked head, reusing the head's stale memo or a pooled one, so
+// the head's later attempts in this routing epoch skip the router and
+// channel resolution (DESIGN.md §8 has the byte-identity argument).
+func (s *Sim) keepRoute(q *vcQueue) {
+	if q.memo == 0 {
+		if n := len(s.freeMemos); n > 0 {
+			q.memo = s.freeMemos[n-1] + 1
+			s.freeMemos = s.freeMemos[:n-1]
+		} else {
+			s.memos = append(s.memos, routeMemo{})
+			q.memo = int32(len(s.memos))
+		}
+	}
+	m := &s.memos[q.memo-1]
+	m.cands = append(m.cands[:0], s.scratch...)
+	m.chans = append(m.chans[:0], s.scratchChans...)
+	m.epoch = s.routeEpoch
 }
 
 // launch picks the best available candidate and starts the transfer.
@@ -898,7 +1023,10 @@ func (s *Sim) grant(sw int, c, vc int32, p *packet) bool {
 // after the packet has been head-blocked for EscapePatienceCycles (or
 // immediately when the routing function is purely deterministic and has
 // no adaptive options at all).
-func (s *Sim) launch(sw int, c, vc int32, p *packet, cands []Candidate) bool {
+//
+// chans holds each candidate's output channel from resolveChan; entries
+// marked chanPerAttempt are resolved here, on every attempt.
+func (s *Sim) launch(sw int, c, vc int32, p *packet, cands []Candidate, chans []int32) bool {
 	pf := int32(s.cfg.PacketFlits)
 	bestIdx := -1
 	var bestCredits int32 = -1
@@ -909,7 +1037,10 @@ func (s *Sim) launch(sw int, c, vc int32, p *packet, cands []Candidate) bool {
 			continue
 		}
 		hasAdaptive = true
-		oc := s.chanFor(sw, cand)
+		oc := chans[i]
+		if oc == chanPerAttempt {
+			oc = s.findOutChan(sw, int(cand.Next))
+		}
 		if oc < 0 || s.outBusy[oc] > s.now || (s.faultActive && s.chanDead[oc]) {
 			continue
 		}
@@ -936,7 +1067,10 @@ func (s *Sim) launch(sw int, c, vc int32, p *packet, cands []Candidate) bool {
 				if !cand.Escape {
 					continue
 				}
-				oc := s.chanFor(sw, cand)
+				oc := chans[i]
+				if oc == chanPerAttempt {
+					oc = s.findOutChan(sw, int(cand.Next))
+				}
 				if oc < 0 || s.outBusy[oc] > s.now || (s.faultActive && s.chanDead[oc]) {
 					continue
 				}
@@ -1006,6 +1140,9 @@ func (s *Sim) applyFaults() {
 			s.firstFault = s.now
 		}
 	}
+	// New routing epoch: death masks, router tables and the recovery
+	// escape all change below, so every route memo goes stale.
+	s.routeEpoch++
 	s.rebuildChanDead()
 	s.scrubWheel()
 	s.dropDeadQueues()
@@ -1051,6 +1188,7 @@ func (s *Sim) recoverStep() {
 				fa.UpdateFaults(s.edgeDead, s.swDead)
 			}
 		})
+		s.routeEpoch++ // the deferred table swap
 	}
 }
 
@@ -1076,11 +1214,12 @@ func (s *Sim) released(p *packet, sw int) {
 // declared lost with full accounting. Teardown is progress for the
 // watchdog: it frees a resource chain.
 func (s *Sim) abortPacket(p *packet, c, vc, sw int32) {
-	q := &s.vcq[c*int32(s.cfg.VCs)+vc]
+	vcIdx := c*int32(s.cfg.VCs) + vc
+	q := &s.vcq[vcIdx]
 	if q.empty() || q.front().pkt != p {
 		return // the head moved since observation; no longer wedged here
 	}
-	q.pop()
+	s.dequeue(vcIdx)
 	s.returnCredits(c, vc)
 	s.inNetwork--
 	s.lastProgress = s.now
@@ -1182,10 +1321,10 @@ func (s *Sim) dropDeadQueues() {
 		}
 		for _, c := range s.inChans[sw] {
 			for vc := 0; vc < vcs; vc++ {
-				q := &s.vcq[c*int32(vcs)+int32(vc)]
-				for !q.empty() {
+				vcIdx := c*int32(vcs) + int32(vc)
+				for q := &s.vcq[vcIdx]; !q.empty(); {
 					victims = append(victims, q.front().pkt)
-					q.pop()
+					s.dequeue(vcIdx)
 				}
 			}
 		}
