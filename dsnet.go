@@ -109,11 +109,10 @@ type Placement = layout.Placement
 // SimConfig holds the cycle-accurate simulator parameters.
 type SimConfig = netsim.Config
 
-// Sim is one simulator instance (virtual cut-through switching).
+// Sim is one simulator instance, under virtual cut-through (NewSim) or
+// wormhole (NewWormSim) switching. SetReplay, SetCableDelays,
+// SetFaultPlan, SetMonitors and SetRecovery configure it before Run.
 type Sim = netsim.Sim
-
-// WormSim is the wormhole-switching simulator.
-type WormSim = netsim.WormSim
 
 // SimResult aggregates one simulation run.
 type SimResult = netsim.Result
@@ -267,16 +266,13 @@ var (
 
 // Simulator (Section VII).
 var (
-	DefaultSimConfig     = netsim.Default
-	NewSim               = netsim.NewSim
-	NewSimReplay         = netsim.NewSimReplay
-	NewWormSimReplay     = netsim.NewWormSimReplay
-	NewSimCableAware     = netsim.NewSimCableAware
-	NewWormSim           = netsim.NewWormSim
-	NewWormSimCableAware = netsim.NewWormSimCableAware
-	NewDuatoUpDown       = netsim.NewDuatoUpDown
-	NewUpDownOnly        = netsim.NewUpDownOnly
-	NewDSNSourceRouted   = netsim.NewDSNSourceRouted
+	DefaultSimConfig   = netsim.Default
+	NewSim             = netsim.NewSim
+	NewSimReplay       = netsim.NewSimReplay
+	NewWormSim         = netsim.NewWormSim
+	NewDuatoUpDown     = netsim.NewDuatoUpDown
+	NewUpDownOnly      = netsim.NewUpDownOnly
+	NewDSNSourceRouted = netsim.NewDSNSourceRouted
 	// NewDSNSourceRoutedUnsafe drives the simulator with the BASIC
 	// variant's channel classes, which deadlock under load — it exists to
 	// demonstrate why Section V.A matters.
@@ -319,7 +315,7 @@ var (
 	// empty algo selects the collective's default algorithm.
 	GenerateCollective = collectives.Generate
 	// CollectiveReplay converts a CollectiveDAG into the Replay the
-	// simulators execute (NewSimReplay / NewWormSimReplay).
+	// simulator executes (NewSimReplay, or (*Sim).SetReplay).
 	CollectiveReplay = collectives.ToReplay
 	// CollectiveNames lists the supported collectives.
 	CollectiveNames = collectives.Collectives
@@ -416,11 +412,11 @@ var (
 	CertifyRecoveryTimeline = verify.CertifyRecoveryTimeline
 )
 
-// Runtime invariant monitors (armed per run with (*Sim).SetMonitors /
-// (*WormSim).SetMonitors): packet conservation at every fault epoch,
-// per-packet hop TTL from the Theorem 1(c) routing diameter bound, and
-// head-of-line starvation. The progress watchdog is always on and
-// configurable via SimConfig.WatchdogCycles.
+// Runtime invariant monitors (armed per run with (*Sim).SetMonitors):
+// packet conservation at every fault epoch, per-packet hop TTL from the
+// Theorem 1(c) routing diameter bound, and head-of-line starvation. The
+// progress watchdog is always on and configurable via
+// SimConfig.WatchdogCycles.
 type (
 	SimMonitors      = netsim.Monitors
 	MonitorViolation = netsim.MonitorViolation
@@ -449,11 +445,11 @@ var (
 )
 
 // Runtime deadlock detection and recovery (armed per run with
-// (*Sim).SetRecovery / (*WormSim).SetRecovery): per-packet stall
-// detection with a confirmation pass, Disha-style abort of confirmed
-// victims onto the up*/down* escape network, and optional
-// drain-before-reconfigure at fault epochs. Disarmed or idle recovery
-// leaves runs bit-identical to an unarmed simulator.
+// (*Sim).SetRecovery): per-packet stall detection with a confirmation
+// pass, Disha-style abort of confirmed victims onto the up*/down* escape
+// network, and optional drain-before-reconfigure at fault epochs.
+// Disarmed or idle recovery leaves runs bit-identical to an unarmed
+// simulator.
 type (
 	RecoveryConfig  = recovery.Config
 	RecoveryTracker = recovery.Tracker

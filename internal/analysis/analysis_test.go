@@ -1,11 +1,14 @@
 package analysis
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"dsnet/internal/graph"
 	"dsnet/internal/layout"
 	"dsnet/internal/netsim"
+	"dsnet/internal/traffic"
 )
 
 func TestBuildComparison(t *testing.T) {
@@ -358,6 +361,49 @@ func TestSwitchingComparison(t *testing.T) {
 	}
 	if _, err := SwitchingComparison(simCfg(), graphs["DSN"], "uniform", nil, 0); err == nil {
 		t.Fatal("0 wormhole buffer accepted")
+	}
+}
+
+// Every SwitchingComparison point equals a fresh direct run on each
+// engine, also for the stateful all-to-all pattern: no router or pattern
+// state leaks from one run into the next.
+func TestSwitchingComparisonMatchesDirectRuns(t *testing.T) {
+	graphs, err := BuildComparison(64, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := graphs["DSN"]
+	cfg := simCfg()
+	pts, err := SwitchingComparison(cfg, g, "all-to-all", []float64{0.02, 0.04}, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct := func(newSim func(netsim.Config, *graph.Graph, netsim.Router, traffic.Pattern, float64) (*netsim.Sim, error),
+		buf int, rate float64) netsim.Result {
+		c := cfg
+		c.BufFlitsPerVC = buf
+		rt, err := netsim.NewDuatoUpDown(g, c.VCs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pat, err := PatternFor("all-to-all", g.N(), c.HostsPerSwitch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := newSim(c, g, rt, pat, rate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, _ := s.Run()
+		return res
+	}
+	for _, p := range pts {
+		if vct := direct(netsim.NewSim, cfg.PacketFlits, p.Rate); !reflect.DeepEqual(p.VCT, vct) {
+			t.Errorf("rate %g: VCT point %v, direct run %v", p.Rate, p.VCT, vct)
+		}
+		if worm := direct(netsim.NewWormSim, 20, p.Rate); !reflect.DeepEqual(p.Wormhole, worm) {
+			t.Errorf("rate %g: wormhole point %v, direct run %v", p.Rate, p.Wormhole, worm)
+		}
 	}
 }
 

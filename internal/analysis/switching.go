@@ -6,6 +6,7 @@ import (
 
 	"dsnet/internal/graph"
 	"dsnet/internal/netsim"
+	"dsnet/internal/traffic"
 )
 
 // SwitchingPoint compares virtual cut-through and wormhole switching on
@@ -23,14 +24,6 @@ func SwitchingComparison(cfg netsim.Config, g *graph.Graph, patternName string, 
 	if wormBuf < 1 {
 		return nil, fmt.Errorf("analysis: wormhole buffer %d < 1", wormBuf)
 	}
-	rt, err := netsim.NewDuatoUpDown(g, cfg.VCs)
-	if err != nil {
-		return nil, err
-	}
-	pat, err := PatternFor(patternName, g.N(), cfg.HostsPerSwitch)
-	if err != nil {
-		return nil, err
-	}
 	vctCfg := cfg
 	vctCfg.BufFlitsPerVC = cfg.PacketFlits
 	wormCfg := cfg
@@ -38,16 +31,27 @@ func SwitchingComparison(cfg netsim.Config, g *graph.Graph, patternName string, 
 	var out []SwitchingPoint
 	for _, rate := range rates {
 		pt := SwitchingPoint{Rate: rate}
-		sim, err := netsim.NewSim(vctCfg, g, rt, pat, rate)
-		if err != nil {
-			return nil, err
+		for _, e := range []struct {
+			cfg    netsim.Config
+			newSim func(netsim.Config, *graph.Graph, netsim.Router, traffic.Pattern, float64) (*netsim.Sim, error)
+			res    *netsim.Result
+		}{{vctCfg, netsim.NewSim, &pt.VCT}, {wormCfg, netsim.NewWormSim, &pt.Wormhole}} {
+			// Built per run: routers carry fault state and some patterns
+			// (all-to-all) carry per-simulation state.
+			rt, err := netsim.NewDuatoUpDown(g, cfg.VCs)
+			if err != nil {
+				return nil, err
+			}
+			pat, err := PatternFor(patternName, g.N(), cfg.HostsPerSwitch)
+			if err != nil {
+				return nil, err
+			}
+			sim, err := e.newSim(e.cfg, g, rt, pat, rate)
+			if err != nil {
+				return nil, err
+			}
+			*e.res, _ = sim.Run() // a watchdog error still yields a result
 		}
-		pt.VCT, _ = sim.Run() // a watchdog error still yields a result
-		worm, err := netsim.NewWormSim(wormCfg, g, rt, pat, rate)
-		if err != nil {
-			return nil, err
-		}
-		pt.Wormhole, _ = worm.Run()
 		out = append(out, pt)
 	}
 	return out, nil

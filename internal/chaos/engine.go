@@ -151,14 +151,6 @@ func New(t Target, opt Options) (*Engine, error) {
 	return &Engine{T: t, Opt: opt}, nil
 }
 
-// sim is the part of both engines the chaos driver needs.
-type sim interface {
-	SetFaultPlan(*netsim.FaultPlan) error
-	SetMonitors(netsim.Monitors) error
-	SetRecovery(recovery.Config) error
-	Run() (netsim.Result, error)
-}
-
 // RunPlan executes one monitored simulation under the given plan (nil
 // or empty = fault-free) and reports the violated monitor, if any. The
 // returned error is reserved for configuration problems; monitor trips
@@ -170,12 +162,11 @@ func (e *Engine) RunPlan(plan *netsim.FaultPlan) (netsim.Result, string, string,
 		return netsim.Result{}, "", "", err
 	}
 	pat := traffic.Uniform{Hosts: e.T.Graph.N() * e.Opt.Cfg.HostsPerSwitch}
-	var s sim
+	newSim := netsim.NewSim
 	if e.Opt.Wormhole {
-		s, err = netsim.NewWormSim(e.Opt.Cfg, e.T.Graph, rt, pat, e.Opt.Rate)
-	} else {
-		s, err = netsim.NewSim(e.Opt.Cfg, e.T.Graph, rt, pat, e.Opt.Rate)
+		newSim = netsim.NewWormSim
 	}
+	s, err := newSim(e.Opt.Cfg, e.T.Graph, rt, pat, e.Opt.Rate)
 	if err != nil {
 		return netsim.Result{}, "", "", err
 	}

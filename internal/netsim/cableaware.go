@@ -4,76 +4,44 @@ import (
 	"fmt"
 	"math"
 
-	"dsnet/internal/graph"
 	"dsnet/internal/layout"
-	"dsnet/internal/traffic"
 )
 
-// NewSimCableAware builds a VCT simulation whose inter-switch link delays
-// are derived from the physical cable lengths of the Section VI.B
-// floorplan (nsPerMetre of propagation, typically 5 ns/m, plus the
-// configured base injection delay), instead of the paper's constant
-// 20 ns. This closes the loop between Figures 9 and 10: topologies with
-// longer cables now pay for them in simulated latency too, an effect the
-// authors' simulator did not model.
+// SetCableDelays derives the inter-switch link delays from the physical
+// cable lengths of the Section VI.B floorplan (nsPerMetre of
+// propagation, typically 5 ns/m, rounded up to whole cycles and at
+// least one cycle) instead of the paper's constant 20 ns. This closes
+// the loop between Figures 9 and 10: topologies with longer cables now
+// pay for them in simulated latency too, an effect the authors'
+// simulator did not model. Must be called before Run.
 //
 // Host injection/ejection links keep the configured constant delay.
-func NewSimCableAware(cfg Config, g *graph.Graph, rt Router, p traffic.Pattern, rate float64, l *layout.Layout, nsPerMetre float64) (*Sim, error) {
-	if g.N() != l.N {
-		return nil, fmt.Errorf("netsim: graph has %d switches, layout %d", g.N(), l.N)
+func (s *Sim) SetCableDelays(l *layout.Layout, nsPerMetre float64) error {
+	if err := s.started("SetCableDelays"); err != nil {
+		return err
 	}
-	if nsPerMetre < 0 {
-		return nil, fmt.Errorf("netsim: negative propagation %g ns/m", nsPerMetre)
+	if s.g.N() != l.N {
+		return fmt.Errorf("netsim: graph has %d switches, layout %d", s.g.N(), l.N)
 	}
-	s, err := NewSim(cfg, g, rt, p, rate)
-	if err != nil {
-		return nil, err
+	if !(nsPerMetre >= 0) || math.IsInf(nsPerMetre, 1) {
+		return fmt.Errorf("netsim: propagation %g ns/m is not a finite non-negative value", nsPerMetre)
 	}
-	cyc := cfg.CycleNS()
-	maxDelay := cfg.LinkDelayCycles
-	for i, e := range g.Edges() {
+	cyc := s.cfg.CycleNS()
+	delays := make([]int64, s.g.M())
+	maxDelay := s.cfg.LinkDelayCycles
+	for i, e := range s.g.Edges() {
 		metres := l.CableLength(int(e.U), int(e.V))
-		d := int64(math.Ceil(metres * nsPerMetre / cyc))
-		if d < 1 {
-			d = 1
+		cycles := math.Ceil(metres * nsPerMetre / cyc)
+		if cycles >= math.MaxInt64 {
+			return fmt.Errorf("netsim: %g ns/m over a %.1f m cable overflows the link delay", nsPerMetre, metres)
 		}
+		delays[i] = max(int64(cycles), 1)
+		maxDelay = max(maxDelay, delays[i])
+	}
+	for i, d := range delays {
 		s.linkDelay[2*i] = d
 		s.linkDelay[2*i+1] = d
-		if d > maxDelay {
-			maxDelay = d
-		}
 	}
 	s.maxDelay = maxDelay
-	s.wheel = newTimingWheel[wheelEv](int64(cfg.PacketFlits) + maxDelay + 2)
-	return s, nil
-}
-
-// NewWormSimCableAware is the wormhole counterpart of NewSimCableAware.
-func NewWormSimCableAware(cfg Config, g *graph.Graph, rt Router, p traffic.Pattern, rate float64, l *layout.Layout, nsPerMetre float64) (*WormSim, error) {
-	if g.N() != l.N {
-		return nil, fmt.Errorf("netsim: graph has %d switches, layout %d", g.N(), l.N)
-	}
-	if nsPerMetre < 0 {
-		return nil, fmt.Errorf("netsim: negative propagation %g ns/m", nsPerMetre)
-	}
-	s, err := NewWormSim(cfg, g, rt, p, rate)
-	if err != nil {
-		return nil, err
-	}
-	cyc := cfg.CycleNS()
-	maxDelay := cfg.LinkDelayCycles
-	for i, e := range g.Edges() {
-		metres := l.CableLength(int(e.U), int(e.V))
-		d := int64(math.Ceil(metres * nsPerMetre / cyc))
-		if d < 1 {
-			d = 1
-		}
-		s.linkDelay[2*i] = d
-		s.linkDelay[2*i+1] = d
-		if d > maxDelay {
-			maxDelay = d
-		}
-	}
-	s.wheel = newTimingWheel[wwheelEv](maxDelay + int64(cfg.PipelineCycles) + 4)
-	return s, nil
+	return nil
 }

@@ -1,6 +1,8 @@
 package netsim
 
 import (
+	"math"
+	"reflect"
 	"testing"
 
 	"dsnet/internal/graph"
@@ -19,16 +21,86 @@ func TestCableAwareValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pat := traffic.Uniform{Hosts: 256}
-	if _, err := NewSimCableAware(shortCfg(), g, rt, pat, 0.05, l, 5); err == nil {
-		t.Fatal("size mismatch accepted")
-	}
 	l64, err := layout.New(64, layout.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewSimCableAware(shortCfg(), g, rt, pat, 0.05, l64, -1); err == nil {
-		t.Fatal("negative propagation accepted")
+	for _, e := range engines {
+		s, err := e.new(Default(), g, rt, traffic.Uniform{Hosts: 256}, 0.05)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.SetCableDelays(l, 5); err == nil {
+			t.Errorf("%s: size mismatch accepted", e.name)
+		}
+		// Values with no int64 cycle count are errors, not one-cycle
+		// links.
+		for _, ns := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1), 1e300} {
+			if err := s.SetCableDelays(l64, ns); err == nil {
+				t.Errorf("%s: propagation %g ns/m accepted", e.name, ns)
+			}
+		}
+		if err := s.SetCableDelays(l64, 5); err != nil {
+			t.Fatalf("%s: %v", e.name, err)
+		}
+	}
+}
+
+// The timing wheel is sized when Run starts, so cable-aware delays set
+// before or after the fault plan build the same wheel and give the same
+// run, including the order in which a fault epoch drops packets caught
+// on dead wires.
+func TestCableDelaysCallOrder(t *testing.T) {
+	g := torusGraph(t)
+	l, err := layout.New(64, layout.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Default()
+	cfg.WarmupCycles, cfg.MeasureCycles, cfg.DrainCycles = 1000, 2000, 6000
+	plan, err := RandomLinkFaults(g, 0.1, 1000, 1000, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range engines {
+		run := func(cableFirst bool) (Result, int) {
+			rt, err := NewDuatoUpDown(g, cfg.VCs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := e.new(cfg, g, rt, traffic.Uniform{Hosts: 256}, 0.05)
+			if err != nil {
+				t.Fatal(err)
+			}
+			steps := []func() error{
+				func() error { return s.SetCableDelays(l, 50) },
+				func() error { return s.SetFaultPlan(plan) },
+			}
+			if !cableFirst {
+				steps[0], steps[1] = steps[1], steps[0]
+			}
+			for _, step := range steps {
+				if err := step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			res, err := s.Run()
+			if err != nil {
+				t.Fatalf("%s: %v", e.name, err)
+			}
+			return res, len(s.wheel.slots)
+		}
+		a, aSlots := run(true)
+		b, bSlots := run(false)
+		if e.name == "vct" && a.Dropped == 0 {
+			t.Fatal("vct: no packet died on a wire; the scrub order went unexercised")
+		}
+		if aSlots != bSlots {
+			t.Fatalf("%s: call order changed the timing wheel: %d vs %d slots", e.name, aSlots, bSlots)
+		}
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("%s: call order changed the run:\ncable first %v\nplan first  %v", e.name, a, b)
+		}
 	}
 }
 
@@ -51,14 +123,14 @@ func TestCableAwarePenalizesLongCables(t *testing.T) {
 			t.Fatal(err)
 		}
 		pat := traffic.Uniform{Hosts: g.N() * cfg.HostsPerSwitch}
-		var sim *Sim
-		if cableAware {
-			sim, err = NewSimCableAware(cfg, g, rt, pat, 0.03, l, nsPerM)
-		} else {
-			sim, err = NewSim(cfg, g, rt, pat, 0.03)
-		}
+		sim, err := NewSim(cfg, g, rt, pat, 0.03)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if cableAware {
+			if err := sim.SetCableDelays(l, nsPerM); err != nil {
+				t.Fatal(err)
+			}
 		}
 		res, err := sim.Run()
 		if err != nil {
@@ -103,8 +175,11 @@ func TestCableAwareDSNBeatsRandomGapNarrows(t *testing.T) {
 			t.Fatal(err)
 		}
 		pat := traffic.Uniform{Hosts: g.N() * cfg.HostsPerSwitch}
-		sim, err := NewSimCableAware(cfg, g, rt, pat, 0.03, l, 5)
+		sim, err := NewSim(cfg, g, rt, pat, 0.03)
 		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sim.SetCableDelays(l, 5); err != nil {
 			t.Fatal(err)
 		}
 		res, err := sim.Run()
@@ -133,8 +208,14 @@ func TestWormCableAware(t *testing.T) {
 		t.Fatal(err)
 	}
 	pat := traffic.Uniform{Hosts: 256}
-	sim, err := NewWormSimCableAware(cfg, g, rt, pat, 0.03, l, 5)
+	sim, err := NewWormSim(cfg, g, rt, pat, 0.03)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.SetCableDelays(l, -1); err == nil {
+		t.Fatal("negative propagation accepted")
+	}
+	if err := sim.SetCableDelays(l, 5); err != nil {
 		t.Fatal(err)
 	}
 	res, err := sim.Run()
@@ -143,8 +224,5 @@ func TestWormCableAware(t *testing.T) {
 	}
 	if res.Saturated || res.DeliveredMeasured == 0 {
 		t.Fatalf("cable-aware wormhole: %v", res)
-	}
-	if _, err := NewWormSimCableAware(cfg, g, rt, pat, 0.03, l, -1); err == nil {
-		t.Fatal("negative propagation accepted")
 	}
 }

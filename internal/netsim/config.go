@@ -72,8 +72,9 @@ type Config struct {
 
 	// Trace, when non-nil, receives a line per lifecycle event (GEN,
 	// INJECT, GRANT, EJECT, DELIVER) for the first TracePackets packets —
-	// a debugging and teaching aid for the VCT engine. Tracing does not
-	// alter simulation behavior.
+	// a debugging and teaching aid. The wormhole engine logs only the
+	// events of the shared fabric (GEN, DELIVER, recovery aborts).
+	// Tracing does not alter simulation behavior.
 	Trace        io.Writer
 	TracePackets int64
 }

@@ -44,33 +44,30 @@ type goldenRun struct {
 	check func(netsim.Result, error) error
 }
 
-type engineSim interface {
-	SetFaultPlan(*netsim.FaultPlan) error
-	SetMonitors(netsim.Monitors) error
-	SetRecovery(recovery.Config) error
-	Run() (netsim.Result, error)
-}
-
-func (r goldenRun) build(engine string) (engineSim, error) {
+func (r goldenRun) build(engine string) (*netsim.Sim, error) {
 	rt, err := r.router(r.cfg.VCs)
 	if err != nil {
 		return nil, err
 	}
-	pat := traffic.Uniform{Hosts: r.g.N() * r.cfg.HostsPerSwitch}
-	switch {
-	case engine == "vct" && r.replay != nil:
-		return netsim.NewSimReplay(r.cfg, r.g, rt, r.replay)
-	case engine == "vct" && r.layout != nil:
-		return netsim.NewSimCableAware(r.cfg, r.g, rt, pat, r.rate, r.layout, 5)
-	case engine == "vct":
-		return netsim.NewSim(r.cfg, r.g, rt, pat, r.rate)
-	case r.replay != nil:
-		return netsim.NewWormSimReplay(r.cfg, r.g, rt, r.replay)
-	case r.layout != nil:
-		return netsim.NewWormSimCableAware(r.cfg, r.g, rt, pat, r.rate, r.layout, 5)
-	default:
-		return netsim.NewWormSim(r.cfg, r.g, rt, pat, r.rate)
+	newSim := netsim.NewSim
+	if engine == "wormhole" {
+		newSim = netsim.NewWormSim
 	}
+	s, err := newSim(r.cfg, r.g, rt, traffic.Uniform{Hosts: r.g.N() * r.cfg.HostsPerSwitch}, r.rate)
+	if err != nil {
+		return nil, err
+	}
+	if r.replay != nil {
+		if err := s.SetReplay(r.replay); err != nil {
+			return nil, err
+		}
+	}
+	if r.layout != nil {
+		if err := s.SetCableDelays(r.layout, 5); err != nil {
+			return nil, err
+		}
+	}
+	return s, nil
 }
 
 // digest runs the simulation and fingerprints the full Result together
@@ -227,7 +224,7 @@ func goldenRuns(t *testing.T) map[string]goldenRun {
 			replay: collectives.ToReplay(ring.Permuted(3)), mon: conserve,
 			check: expect("a completed replay", func(r netsim.Result) bool { return r.ReplayCompleted })},
 		// Collectives under failure are a VCT experiment: the wormhole
-		// engine has no drop/retry transport (see WormSim.SetReplay).
+		// engine has no drop/retry transport (see Sim.SetReplay).
 		"duato/torus16/replay-hd-faults": {g: tg, cfg: longCfg, router: duato(tg),
 			replay: collectives.ToReplay(hd.Permuted(5)), plan: torusFaults, mon: conserve, check: rerouted,
 			engines: []string{"vct"}},

@@ -69,7 +69,7 @@ func (r *countingRouter) forget(heads map[headKey]bool) {
 // cycle: the occupancy counts match, every live memo sits on a non-empty
 // queue, no memo is both live and free or live twice, and every memo of
 // the current epoch equals a fresh routing of its head.
-func checkHotPath(t *testing.T, s *Sim, rt *countingRouter) map[headKey]bool {
+func checkHotPath(t *testing.T, s *vct, rt *countingRouter) map[headKey]bool {
 	t.Helper()
 	vcs := int32(s.cfg.VCs)
 	swOcc := make([]int32, s.nSw)
@@ -88,7 +88,7 @@ func checkHotPath(t *testing.T, s *Sim, rt *countingRouter) map[headKey]bool {
 			}
 			chanOcc++
 			p := q.front().pkt
-			heads[headKey{p.id, p.st.Step, sw}] = true
+			heads[headKey{p.st.PktID, p.st.Step, sw}] = true
 			if q.memo == 0 {
 				continue
 			}
@@ -108,8 +108,8 @@ func checkHotPath(t *testing.T, s *Sim, rt *countingRouter) map[headKey]bool {
 				fresh = s.rec.escapeCandidates(p.st, sw, nil)
 			} else {
 				fresh = rt.FaultAware.Candidates(p.st, sw, nil)
-				if rt.at[headKey{p.id, p.st.Step, sw}] != rt.updates {
-					t.Fatalf("cycle %d: packet %d keeps a route from before UpdateFaults", s.now, p.id)
+				if rt.at[headKey{p.st.PktID, p.st.Step, sw}] != rt.updates {
+					t.Fatalf("cycle %d: packet %d keeps a route from before UpdateFaults", s.now, p.st.PktID)
 				}
 			}
 			chans := make([]int32, len(fresh))
@@ -118,7 +118,7 @@ func checkHotPath(t *testing.T, s *Sim, rt *countingRouter) map[headKey]bool {
 			}
 			if !slices.Equal(fresh, m.cands) || !slices.Equal(chans, m.chans) {
 				t.Fatalf("cycle %d: memo of packet %d at switch %d is not its route:\nmemo %v %v\nfresh %v %v",
-					s.now, p.id, sw, m.cands, m.chans, fresh, chans)
+					s.now, p.st.PktID, sw, m.cands, m.chans, fresh, chans)
 			}
 		}
 		if chanOcc != s.chanOcc[c] {
@@ -191,6 +191,7 @@ func TestHotPathBookkeeping(t *testing.T) {
 				t.Fatal(err)
 			}
 			rt.sim = s
+			v := s.fc.(*vct)
 			if err := s.SetFaultPlan(plan); err != nil {
 				t.Fatal(err)
 			}
@@ -201,28 +202,28 @@ func TestHotPathBookkeeping(t *testing.T) {
 				t.Fatal(err)
 			}
 			swaps := 0
-			end := cfg.WarmupCycles + cfg.MeasureCycles + cfg.DrainCycles
+			end, _ := s.start()
 			for s.now = 0; s.now < end; s.now++ {
 				draining, epoch := s.rec.draining, s.routeEpoch
 				s.cycle()
 				if s.violation != nil {
 					t.Fatal(s.violation)
 				}
-				rt.forget(checkHotPath(t, s, rt))
+				rt.forget(checkHotPath(t, v, rt))
 				if draining && !s.rec.draining {
 					// The drain swap runs on an empty network: no memo
 					// survives it, and the epoch moved on.
 					swaps++
-					if len(s.freeMemos) != len(s.memos) || s.routeEpoch == epoch {
+					if len(v.freeMemos) != len(v.memos) || s.routeEpoch == epoch {
 						t.Fatalf("cycle %d: drain swap left %d live memos, epoch %d -> %d",
-							s.now, len(s.memos)-len(s.freeMemos), epoch, s.routeEpoch)
+							s.now, len(v.memos)-len(v.freeMemos), epoch, s.routeEpoch)
 					}
 				}
 			}
-			s.finalRecovery()
-			checkHotPath(t, s, rt)
+			v.finalRecovery()
+			checkHotPath(t, v, rt)
 			res := s.result()
-			if len(s.memos) == 0 {
+			if len(v.memos) == 0 {
 				t.Fatal("no head ever blocked; the memo path went unexercised")
 			}
 			switch tc.name {
@@ -237,7 +238,7 @@ func TestHotPathBookkeeping(t *testing.T) {
 				}
 			}
 			t.Logf("memo pool %d, UpdateFaults %d, reroutes after it %d, drain swaps %d, aborted flits %d",
-				len(s.memos), rt.updates, rt.recalls, swaps, res.AbortedFlits)
+				len(v.memos), rt.updates, rt.recalls, swaps, res.AbortedFlits)
 		})
 	}
 }

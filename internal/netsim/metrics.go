@@ -114,6 +114,14 @@ func (s *Sim) result() Result {
 		GeneratedTotal:       s.generatedTotal,
 		InFlightAtEnd:        s.inFlight,
 		MaxHOLWaitCycles:     s.maxHOLWait,
+		Dropped:              s.droppedTotal,
+		Lost:                 s.lostTotal,
+		Retried:              s.retriedTotal,
+		TimedOut:             s.timedOutTotal,
+		Rerouted:             s.reroutedPkts,
+		DeliveredPostFault:   s.delPostFault,
+		InjectedFlits:        s.flitsInjected,
+		EjectedFlits:         s.flitsEjected,
 		ChannelFlits:         s.chanFlits[:2*s.g.M()],
 	}
 	if s.grantsInWindow > 0 {
@@ -125,20 +133,10 @@ func (s *Sim) result() Result {
 		r.AvgLatencyNS = float64(s.latencySum) / float64(s.delMeasured) * cyc
 		r.AvgHops = float64(s.hopsSum) / float64(s.delMeasured)
 		sorted := append([]int64(nil), s.latencies...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		idx := int(float64(len(sorted)) * 0.99)
-		if idx >= len(sorted) {
-			idx = len(sorted) - 1
-		}
-		r.P99LatencyNS = float64(sorted[idx]) * cyc
+		sortInt64s(sorted)
+		r.P99LatencyNS = float64(sorted[percentileIdx(len(sorted), 0.99)]) * cyc
 		r.MaxLatencyNS = float64(sorted[len(sorted)-1]) * cyc
 	}
-	r.Dropped = s.droppedTotal
-	r.Lost = s.lostTotal
-	r.Retried = s.retriedTotal
-	r.TimedOut = s.timedOutTotal
-	r.Rerouted = s.reroutedPkts
-	r.DeliveredPostFault = s.delPostFault
 	if len(s.postFaultLats) > 0 {
 		sorted := append([]int64(nil), s.postFaultLats...)
 		sortInt64s(sorted)
@@ -149,7 +147,7 @@ func (s *Sim) result() Result {
 		undelivered := s.genMeasured - s.delMeasured
 		r.Saturated = float64(undelivered) > 0.02*float64(s.genMeasured)
 	}
-	if s.watchdogTripped {
+	if s.watchdogTripped && !s.failStop {
 		r.Saturated = true
 	}
 	if s.rep != nil {

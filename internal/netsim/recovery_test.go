@@ -144,25 +144,13 @@ func TestRecoveryZeroFaultBitIdentity(t *testing.T) {
 	cfg.MeasureCycles = 4000
 	cfg.DrainCycles = 20000
 	pat := traffic.Uniform{Hosts: g.N() * cfg.HostsPerSwitch}
-	for _, wormhole := range []bool{false, true} {
-		name := "vct"
-		if wormhole {
-			name = "wormhole"
-		}
+	for _, e := range engines {
 		run := func(armed bool) Result {
 			rt, err := NewDSNSourceRouted(d)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var s interface {
-				SetRecovery(recovery.Config) error
-				Run() (Result, error)
-			}
-			if wormhole {
-				s, err = NewWormSim(cfg, g, rt, pat, 0.02)
-			} else {
-				s, err = NewSim(cfg, g, rt, pat, 0.02)
-			}
+			s, err := e.new(cfg, g, rt, pat, 0.02)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -173,18 +161,18 @@ func TestRecoveryZeroFaultBitIdentity(t *testing.T) {
 			}
 			res, err := s.Run()
 			if err != nil {
-				t.Fatalf("%s zero-fault run failed: %v", name, err)
+				t.Fatalf("%s zero-fault run failed: %v", e.name, err)
 			}
 			return res
 		}
 		plain, armed := run(false), run(true)
 		if armed.DeadlocksDetected != 0 || armed.DeadlocksRecovered != 0 || armed.AbortedFlits != 0 {
-			t.Fatalf("%s: recovery fired on a zero-fault run: %+v", name, armed)
+			t.Fatalf("%s: recovery fired on a zero-fault run: %+v", e.name, armed)
 		}
 		// The flit books are kept unconditionally (armed or not), so
 		// they cannot differ; everything else must match exactly too.
 		if !reflect.DeepEqual(plain, armed) {
-			t.Fatalf("%s: arming recovery perturbed a zero-fault run:\nplain %+v\narmed %+v", name, plain, armed)
+			t.Fatalf("%s: arming recovery perturbed a zero-fault run:\nplain %+v\narmed %+v", e.name, plain, armed)
 		}
 	}
 }
@@ -262,11 +250,7 @@ func TestRecoveryDrainEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := d.Graph()
-	for _, wormhole := range []bool{false, true} {
-		name := "vct"
-		if wormhole {
-			name = "wormhole"
-		}
+	for _, e := range engines {
 		rt, err := NewDSNSourceRouted(d)
 		if err != nil {
 			t.Fatal(err)
@@ -278,17 +262,7 @@ func TestRecoveryDrainEpoch(t *testing.T) {
 		cfg.DrainCycles = 30000
 		cfg.WatchdogCycles = 20000
 		pat := traffic.Uniform{Hosts: g.N() * cfg.HostsPerSwitch}
-		var s interface {
-			SetFaultPlan(*FaultPlan) error
-			SetMonitors(Monitors) error
-			SetRecovery(recovery.Config) error
-			Run() (Result, error)
-		}
-		if wormhole {
-			s, err = NewWormSim(cfg, g, rt, pat, 0.02)
-		} else {
-			s, err = NewSim(cfg, g, rt, pat, 0.02)
-		}
+		s, err := e.new(cfg, g, rt, pat, 0.02)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,16 +285,16 @@ func TestRecoveryDrainEpoch(t *testing.T) {
 		}
 		res, err := s.Run()
 		if err != nil {
-			t.Fatalf("%s: drain run failed: %v", name, err)
+			t.Fatalf("%s: drain run failed: %v", e.name, err)
 		}
 		if res.DrainEpochs < 1 {
-			t.Fatalf("%s: fault landed but no drain epoch recorded", name)
+			t.Fatalf("%s: fault landed but no drain epoch recorded", e.name)
 		}
 		if res.DrainPausedCycles < 1 {
-			t.Fatalf("%s: drain epoch served but no paused cycles recorded", name)
+			t.Fatalf("%s: drain epoch served but no paused cycles recorded", e.name)
 		}
 		if res.DeliveredTotal == 0 {
-			t.Fatalf("%s: nothing delivered after drain", name)
+			t.Fatalf("%s: nothing delivered after drain", e.name)
 		}
 	}
 }

@@ -200,12 +200,15 @@ func (rs *replayState) fill(r *Result, cyc float64) {
 // SetReplay switches the simulation into closed-loop replay mode: the
 // offered-load injection process is disabled and the workload's messages
 // inject as their dependencies deliver. Must be called before Run.
-// Composes with SetFaultPlan: packets lost to faults retry through the
-// transport layer, and a workload whose messages become undeliverable
-// ends via the progress watchdog with ReplayCompleted == false.
+// Composes with SetFaultPlan: under VCT switching, packets lost to
+// faults retry through the transport layer, and a workload whose
+// messages become undeliverable ends via the progress watchdog with
+// ReplayCompleted == false. Wormhole switching has no drop/retry
+// transport, so a workload that loses its path freezes and ends via the
+// watchdog; use VCT switching for collectives-under-failure experiments.
 func (s *Sim) SetReplay(r *Replay) error {
-	if s.now != 0 || s.nextID != 0 {
-		return fmt.Errorf("netsim: SetReplay after Run started")
+	if err := s.started("SetReplay"); err != nil {
+		return err
 	}
 	if r == nil {
 		return fmt.Errorf("netsim: nil replay")
@@ -226,95 +229,18 @@ func (s *Sim) releaseReady() {
 		s.rep.ready = s.rep.ready[1:]
 		m := &s.rep.r.Messages[mi]
 		for k := int32(0); k < s.rep.packets[mi]; k++ {
-			p := &packet{
-				id:         s.nextID,
-				srcHost:    m.SrcHost,
-				dstHost:    m.DstHost,
-				genCycle:   s.now,
-				measured:   true,
-				blockSince: -1,
-				msg:        mi,
-			}
-			s.nextID++
-			p.st.PktID = p.id
-			p.st.SrcSw = m.SrcHost / int32(s.cfg.HostsPerSwitch)
-			p.st.DstSw = m.DstHost / int32(s.cfg.HostsPerSwitch)
-			s.hostQ[m.SrcHost] = append(s.hostQ[m.SrcHost], p)
+			p := s.newPacket(m.SrcHost, m.DstHost, mi, true)
 			s.trace(p, "GEN", "src", m.SrcHost, "dst", p.dstHost, "msg", mi)
-			s.generatedTotal++
-			s.genMeasured++
-			s.inFlight++
 		}
 		s.lastProgress = s.now
 	}
 }
 
 // NewSimReplay builds a VCT simulation executing the closed-loop
-// workload r on graph g under router rt (no open-loop traffic).
+// workload r on graph g under router rt (no open-loop traffic). For a
+// wormhole replay, call SetReplay on a NewWormSim built at rate 0.
 func NewSimReplay(cfg Config, g *graph.Graph, rt Router, r *Replay) (*Sim, error) {
 	s, err := NewSim(cfg, g, rt, nil, 0)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.SetReplay(r); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// SetReplay switches the wormhole simulation into closed-loop replay
-// mode; see (*Sim).SetReplay. The wormhole engine has no drop/retry
-// transport, so under a FaultPlan a workload that loses its path freezes
-// and ends via the progress watchdog; use the VCT engine for
-// collectives-under-failure experiments.
-func (s *WormSim) SetReplay(r *Replay) error {
-	if s.now != 0 || s.nextID != 0 {
-		return fmt.Errorf("netsim: SetReplay after Run started")
-	}
-	if r == nil {
-		return fmt.Errorf("netsim: nil replay")
-	}
-	rep, err := newReplayState(r, s.cfg.PacketFlits, s.hosts)
-	if err != nil {
-		return err
-	}
-	s.rep = rep
-	return nil
-}
-
-// releaseReady is the wormhole counterpart of (*Sim).releaseReady.
-func (s *WormSim) releaseReady() {
-	for len(s.rep.ready) > 0 {
-		mi := s.rep.ready[0]
-		s.rep.ready = s.rep.ready[1:]
-		m := &s.rep.r.Messages[mi]
-		for k := int32(0); k < s.rep.packets[mi]; k++ {
-			p := &wpacket{
-				id:         s.nextID,
-				srcHost:    m.SrcHost,
-				dstHost:    m.DstHost,
-				genCycle:   s.now,
-				measured:   true,
-				blockSince: -1,
-				msg:        mi,
-			}
-			s.nextID++
-			p.st.PktID = p.id
-			p.st.SrcSw = m.SrcHost / int32(s.cfg.HostsPerSwitch)
-			p.st.DstSw = m.DstHost / int32(s.cfg.HostsPerSwitch)
-			s.hostQ[m.SrcHost] = append(s.hostQ[m.SrcHost], p)
-			s.generatedTotal++
-			s.genMeasured++
-			s.inFlight++
-		}
-		s.lastProgress = s.now
-	}
-}
-
-// NewWormSimReplay builds a wormhole simulation executing the
-// closed-loop workload r on graph g under router rt.
-func NewWormSimReplay(cfg Config, g *graph.Graph, rt Router, r *Replay) (*WormSim, error) {
-	s, err := NewWormSim(cfg, g, rt, nil, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -236,8 +236,11 @@ func TestWormReplayCompletes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := NewWormSimReplay(cfg, g, rt, mk())
+		s, err := NewWormSim(cfg, g, rt, nil, 0)
 		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.SetReplay(mk()); err != nil {
 			t.Fatal(err)
 		}
 		res, err := s.Run()

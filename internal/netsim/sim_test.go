@@ -12,6 +12,13 @@ import (
 	"dsnet/internal/traffic"
 )
 
+// engines lists both switching engines, for tests that run each case on
+// either.
+var engines = []struct {
+	name string
+	new  func(Config, *graph.Graph, Router, traffic.Pattern, float64) (*Sim, error)
+}{{"vct", NewSim}, {"wormhole", NewWormSim}}
+
 func shortCfg() Config {
 	c := Default()
 	c.WarmupCycles = 3000
@@ -92,16 +99,38 @@ func TestNewSimValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	pat := traffic.Uniform{Hosts: 256}
-	if _, err := NewSim(Default(), g, rt, pat, -0.1); err == nil {
-		t.Fatal("negative rate accepted")
-	}
-	if _, err := NewSim(Default(), g, rt, pat, 1.5); err == nil {
-		t.Fatal("rate > 1 accepted")
-	}
 	bad := Default()
 	bad.VCs = 0
-	if _, err := NewSim(bad, g, rt, pat, 0.1); err == nil {
-		t.Fatal("invalid config accepted")
+	for _, e := range engines {
+		for _, c := range []struct {
+			what string
+			cfg  Config
+			rt   Router
+			pat  traffic.Pattern
+			rate float64
+		}{
+			{"negative rate", Default(), rt, pat, -0.1},
+			{"rate > 1", Default(), rt, pat, 1.5},
+			{"NaN rate", Default(), rt, pat, math.NaN()},
+			{"invalid config", bad, rt, pat, 0.1},
+			{"nil router", Default(), nil, pat, 0.1},
+			{"nil pattern at a positive rate", Default(), rt, nil, 0.1},
+		} {
+			if _, err := e.new(c.cfg, g, c.rt, c.pat, c.rate); err == nil {
+				t.Errorf("%s: %s accepted", e.name, c.what)
+			}
+		}
+		// A replay needs no pattern: rate 0 with a nil pattern is valid.
+		s, err := e.new(Default(), g, rt, nil, 0)
+		if err != nil {
+			t.Fatalf("%s: nil pattern at rate 0 rejected: %v", e.name, err)
+		}
+		if err := s.SetReplay(&Replay{Messages: []ReplayMessage{{SrcHost: 0, DstHost: 1, Flits: 1}}}); err != nil {
+			t.Fatal(err)
+		}
+		if res, err := s.Run(); err != nil || !res.ReplayCompleted {
+			t.Fatalf("%s: replay without a pattern: %v %v", e.name, res, err)
+		}
 	}
 }
 
