@@ -8,6 +8,7 @@ import (
 	"dsnet/internal/core"
 	"dsnet/internal/graph"
 	"dsnet/internal/netsim"
+	"dsnet/internal/recovery"
 	"dsnet/internal/topology"
 	"dsnet/internal/traffic"
 )
@@ -16,9 +17,10 @@ import (
 // switch-cycles per host second, with allocations per run: the paper's
 // 8×8 torus at moderate load, DSN-64 at the three Fig. 10 loads of the
 // repository benchmark (near idle, moderate, just below the knee), the
-// wormhole engine on DSN-64 at the moderate load with 20-flit buffers,
-// and a contention-bound halving-doubling allreduce replayed on a
-// 16-switch DSN.
+// wormhole engine on DSN-64 at the moderate load with 20-flit buffers
+// and on the 36-switch chaos target (DSN-V, source-routed) at its
+// sparse safe rate with deadlock recovery armed, and a contention-bound
+// halving-doubling allreduce replayed on a 16-switch DSN.
 func BenchmarkSimCycle(b *testing.B) {
 	tor, err := topology.Torus2D(8, 8)
 	if err != nil {
@@ -49,6 +51,28 @@ func BenchmarkSimCycle(b *testing.B) {
 		schedule := worm.WarmupCycles + worm.MeasureCycles + worm.DrainCycles
 		benchRun(b, g.N(), func() (*netsim.Sim, error) { return netsim.NewWormSim(worm, g, rt, pat, 0.08) },
 			func(netsim.Result) int64 { return schedule })
+	})
+	b.Run("worm-dsnv36/rate=0.02/recover", func(b *testing.B) {
+		d, err := core.NewV(36)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rt, err := netsim.NewDSNSourceRouted(d)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cfg := netsim.Default()
+		cfg.WarmupCycles, cfg.MeasureCycles, cfg.DrainCycles = 2000, 8000, 10000
+		g := d.Graph()
+		pat := traffic.Uniform{Hosts: g.N() * cfg.HostsPerSwitch}
+		schedule := cfg.WarmupCycles + cfg.MeasureCycles + cfg.DrainCycles
+		benchRun(b, g.N(), func() (*netsim.Sim, error) {
+			s, err := netsim.NewWormSim(cfg, g, rt, pat, 0.02)
+			if err != nil {
+				return nil, err
+			}
+			return s, s.SetRecovery(recovery.Default())
+		}, func(netsim.Result) int64 { return schedule })
 	})
 
 	b.Run("allreduce-hd/dsn16", func(b *testing.B) {
