@@ -230,7 +230,9 @@ func (s *Sim) releaseReady() {
 		m := &s.rep.r.Messages[mi]
 		for k := int32(0); k < s.rep.packets[mi]; k++ {
 			p := s.newPacket(m.SrcHost, m.DstHost, mi, true)
-			s.trace(p, "GEN", "src", m.SrcHost, "dst", p.dstHost, "msg", mi)
+			if s.tracing(p) {
+				s.trace(p, "GEN", "src", m.SrcHost, "dst", p.dstHost, "msg", mi)
+			}
 		}
 		s.lastProgress = s.now
 	}

@@ -347,9 +347,11 @@ func newSim(cfg Config, g *graph.Graph, rt Router, p traffic.Pattern, rate float
 	return &newVCT(s).Sim, nil
 }
 
-// started rejects configuration calls once Run has begun.
+// started rejects configuration calls, and a second Run, once Run has
+// begun: start builds the timing wheel, so a second Run would drop every
+// event in flight while every counter carried over.
 func (s *Sim) started(call string) error {
-	if s.now != 0 || s.nextID != 0 {
+	if s.wheel != nil {
 		return fmt.Errorf("netsim: %s after Run started", call)
 	}
 	return nil
@@ -556,8 +558,12 @@ func (s *Sim) start() (end, watchdog int64) {
 // Run executes the full schedule (warmup + measurement + drain) and
 // returns the aggregated result. In closed-loop replay mode the schedule
 // is ignored: the run ends when the workload completes (or can no longer
-// make progress, e.g. after permanent packet loss under faults).
+// make progress, e.g. after permanent packet loss under faults). A Sim
+// runs once; a second Run returns an error.
 func (s *Sim) Run() (Result, error) {
+	if err := s.started("Run"); err != nil {
+		return Result{}, err
+	}
 	end, watchdog := s.start()
 	for s.now = 0; s.now < end; s.now++ {
 		s.cycle()
@@ -609,11 +615,15 @@ func (s *Sim) processEvents() {
 	}
 }
 
-// trace logs one lifecycle event for packets under the trace budget.
+// tracing reports whether p's lifecycle events are traced: tracing is
+// on and p is under the trace budget. Trace calls are guarded with it so
+// that their arguments are not built, and boxed, when tracing is off.
+func (s *Sim) tracing(p *packet) bool {
+	return s.cfg.Trace != nil && p.st.PktID < s.cfg.TracePackets
+}
+
+// trace logs one lifecycle event of a traced packet (see tracing).
 func (s *Sim) trace(p *packet, event string, args ...any) {
-	if s.cfg.Trace == nil || p.st.PktID >= s.cfg.TracePackets {
-		return
-	}
 	fmt.Fprintf(s.cfg.Trace, "t=%-8d pkt=%-6d %-8s", s.now, p.st.PktID, event)
 	for i := 0; i+1 < len(args); i += 2 {
 		fmt.Fprintf(s.cfg.Trace, " %s=%v", args[i], args[i+1])
@@ -650,7 +660,9 @@ func (s *Sim) deliver(p *packet, at int64) {
 		s.rep.onDeliver(p.msg, at)
 	}
 	s.flows.onDeliver(p.srcHost, p.dstHost, p.st)
-	s.trace(p, "DELIVER", "host", p.dstHost, "hops", p.st.Step, "latency_cycles", at-p.genCycle)
+	if s.tracing(p) {
+		s.trace(p, "DELIVER", "host", p.dstHost, "hops", p.st.Step, "latency_cycles", at-p.genCycle)
+	}
 }
 
 // faultDrop handles the loss of one in-flight packet instance to a
@@ -675,12 +687,16 @@ func (s *Sim) faultDropQueued(p *packet, why string) {
 		p.attempts++
 		s.retriedTotal++
 		s.wheel.schedule(s.now, s.now+(s.retryBackoff<<shift), wheelEv{kind: evRetry, pkt: p})
-		s.trace(p, why, "action", "retry", "attempt", p.attempts)
+		if s.tracing(p) {
+			s.trace(p, why, "action", "retry", "attempt", p.attempts)
+		}
 		return
 	}
 	s.lostTotal++
 	s.inFlight--
-	s.trace(p, why, "action", "lost", "attempts", p.attempts)
+	if s.tracing(p) {
+		s.trace(p, why, "action", "lost", "attempts", p.attempts)
+	}
 }
 
 // reinject puts a retried packet back on its source host queue with
@@ -690,7 +706,9 @@ func (s *Sim) reinject(p *packet) {
 		s.lostTotal++
 		s.inFlight--
 		s.lastProgress = s.now
-		s.trace(p, "RETRY", "action", "lost-src-dead")
+		if s.tracing(p) {
+			s.trace(p, "RETRY", "action", "lost-src-dead")
+		}
 		return
 	}
 	p.st.Step = 0
@@ -698,7 +716,9 @@ func (s *Sim) reinject(p *packet) {
 	p.blockSince = -1
 	s.hostQ[p.srcHost] = append(s.hostQ[p.srcHost], p)
 	s.lastProgress = s.now
-	s.trace(p, "REINJECT", "src", p.srcHost, "attempt", p.attempts)
+	if s.tracing(p) {
+		s.trace(p, "REINJECT", "src", p.srcHost, "attempt", p.attempts)
+	}
 }
 
 // inject is one cycle of host-side work: sourcing new packets (open-loop
@@ -737,7 +757,9 @@ func (s *Sim) genTraffic() {
 				continue
 			}
 			p := s.newPacket(int32(h), dst, -1, s.inWindow(s.now))
-			s.trace(p, "GEN", "src", h, "dst", p.dstHost)
+			if s.tracing(p) {
+				s.trace(p, "GEN", "src", h, "dst", p.dstHost)
+			}
 		}
 	}
 }
@@ -888,7 +910,9 @@ func (s *Sim) teardown(p *packet, sw int32, flits int64) {
 		s.rec.tr.Aborted(s.now, p.st.PktID, sw, flits, p.aborts, true)
 		s.lostTotal++
 		s.inFlight--
-		s.trace(p, "DLKLOST", "switch", sw, "attempts", p.aborts)
+		if s.tracing(p) {
+			s.trace(p, "DLKLOST", "switch", sw, "attempts", p.aborts)
+		}
 		return
 	}
 	s.rec.tr.Aborted(s.now, p.st.PktID, sw, flits, p.aborts, false)
@@ -897,5 +921,7 @@ func (s *Sim) teardown(p *packet, sw int32, flits int64) {
 	p.blockSince = -1
 	p.recovering = true
 	s.hostQ[p.srcHost] = append(s.hostQ[p.srcHost], p)
-	s.trace(p, "DLKABORT", "switch", sw, "attempt", p.aborts)
+	if s.tracing(p) {
+		s.trace(p, "DLKABORT", "switch", sw, "attempt", p.aborts)
+	}
 }

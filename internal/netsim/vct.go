@@ -164,7 +164,9 @@ func (s *vct) driveHosts() {
 			vcIdx: c*int32(s.cfg.VCs) + int32(bestVC),
 			pkt:   p,
 		})
-		s.trace(p, "INJECT", "switch", h/s.cfg.HostsPerSwitch, "vc", bestVC)
+		if s.tracing(p) {
+			s.trace(p, "INJECT", "switch", h/s.cfg.HostsPerSwitch, "vc", bestVC)
+		}
 		s.lastProgress = s.now
 	}
 }
@@ -291,7 +293,9 @@ func (s *vct) observeStall(sw int, c, vc int32, e *vcEntry) {
 	if !p.deadlocked {
 		p.deadlocked = true
 		s.rec.tr.Confirmed(s.now, p.st.PktID, int32(sw))
-		s.trace(p, "DLKCONF", "switch", sw, "waited", s.now-e.routableAt)
+		if s.tracing(p) {
+			s.trace(p, "DLKCONF", "switch", sw, "waited", s.now-e.routableAt)
+		}
 	}
 	if v := s.rec.victim; v == nil || older(p, v) {
 		s.rec.victim, s.rec.victimC, s.rec.victimVC, s.rec.victimSw = p, c, vc, int32(sw)
@@ -312,7 +316,9 @@ func (s *vct) grant(sw int, c, vc int32, p *packet) bool {
 		s.inBusy[c] = s.now + pf
 		s.wheel.schedule(s.now, s.now+pf+s.cfg.LinkDelayCycles, wheelEv{kind: evDeliver, pkt: p})
 		s.returnCredits(c, vc)
-		s.trace(p, "EJECT", "switch", sw, "host", host)
+		if s.tracing(p) {
+			s.trace(p, "EJECT", "switch", sw, "host", host)
+		}
 		s.lastProgress = s.now
 		s.released(p, int32(sw))
 		return true
@@ -490,7 +496,9 @@ func (s *vct) launch(sw int, c, vc int32, p *packet, cands []Candidate, chans []
 		pkt:   p,
 	})
 	s.returnCredits(c, vc)
-	s.trace(p, "GRANT", "from", sw, "to", cand.Next, "vc", cand.VC, "escape", cand.Escape)
+	if s.tracing(p) {
+		s.trace(p, "GRANT", "from", sw, "to", cand.Next, "vc", cand.VC, "escape", cand.Escape)
+	}
 	p.st.Step++
 	p.st.RtState = cand.NewState
 	s.lastProgress = s.now
