@@ -22,6 +22,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -29,6 +30,7 @@ import (
 	"strings"
 
 	"dsnet/internal/core"
+	"dsnet/internal/graph"
 	"dsnet/internal/netsim"
 	"dsnet/internal/verify"
 )
@@ -53,23 +55,25 @@ func main() {
 
 func run(o opts, stdout io.Writer) error {
 	var report strings.Builder
+	var errs []error
 	certs := verify.CertifyAll(verify.DefaultOptions())
-	bad := writeMatrix(&report, certs, o.verbose)
+	if bad := writeMatrix(&report, certs, o.verbose); bad > 0 {
+		errs = append(errs, fmt.Errorf("%d combination(s) missed their expectation", bad))
+	}
 	if o.faults {
 		if err := writeFaultTimeline(&report, o.verbose); err != nil {
-			return err
+			errs = append(errs, err)
 		}
 	}
+	// The report is printed and written even when a section failed: the
+	// failing certificate is what a reader of the report needs to see.
 	fmt.Fprint(stdout, report.String())
 	if o.out != "" {
 		if err := os.WriteFile(o.out, []byte(report.String()), 0o644); err != nil {
-			return err
+			errs = append(errs, err)
 		}
 	}
-	if bad > 0 {
-		return fmt.Errorf("%d combination(s) missed their expectation", bad)
-	}
-	return nil
+	return errors.Join(errs...)
 }
 
 // writeMatrix renders the certification matrix and returns how many
@@ -111,38 +115,70 @@ func writeMatrix(w *strings.Builder, certs []verify.Certificate, verbose bool) i
 	return bad
 }
 
-// writeFaultTimeline certifies the degraded escape network and the DSN
-// ring-detour re-sourcing after each event of a fail-then-repair plan,
-// and checks that full repair restores the pristine certificates.
-func writeFaultTimeline(w *strings.Builder, verbose bool) error {
+// faultSection is the input of the -faults section: a fail-then-repair
+// plan on one fabric and the certifiers replayed over it.
+type faultSection struct {
+	fabric    string
+	g         *graph.Graph
+	plan      *netsim.FaultPlan
+	timelines []timeline
+}
+
+// timeline is one certifier replayed over the plan, event by event.
+type timeline struct {
+	name    string
+	certify func(edgeDead, swDead []bool) verify.Certificate
+}
+
+// faultTimelines builds the -faults section: the degraded escape
+// network and the DSN ring-detour re-sourcing on DSN-64. It is a
+// variable so that tests can substitute a timeline whose repair does
+// not restore its certificate.
+var faultTimelines = func() (faultSection, error) {
 	d, err := core.New(64, 5)
+	if err != nil {
+		return faultSection{}, err
+	}
+	g := d.Graph()
+	return faultSection{
+		fabric: "dsn-64",
+		g:      g,
+		plan: netsim.NewFaultPlan(
+			netsim.LinkDown(10, 3),
+			netsim.LinkDown(20, 17),
+			netsim.SwitchDown(30, 40),
+			netsim.SwitchUp(40, 40),
+			netsim.LinkUp(50, 17),
+			netsim.LinkUp(60, 3),
+		),
+		timelines: []timeline{
+			{"updown-escape", func(ed, sd []bool) verify.Certificate {
+				return verify.CertifyDegradedUpDown(g, ed, sd, 4)
+			}},
+			{"dsn-ring-detour", func(ed, sd []bool) verify.Certificate {
+				return verify.CertifyDegradedDSN(d, ed, sd)
+			}},
+		},
+	}, nil
+}
+
+// writeFaultTimeline certifies each timeline after every event of the
+// fault plan and checks that full repair restores the pristine
+// certificates. Every timeline is rendered; the error names each one
+// that failed.
+func writeFaultTimeline(w *strings.Builder, verbose bool) error {
+	fs, err := faultTimelines()
 	if err != nil {
 		return err
 	}
-	g := d.Graph()
-	plan := netsim.NewFaultPlan(
-		netsim.LinkDown(10, 3),
-		netsim.LinkDown(20, 17),
-		netsim.SwitchDown(30, 40),
-		netsim.SwitchUp(40, 40),
-		netsim.LinkUp(50, 17),
-		netsim.LinkUp(60, 3),
-	)
-	fmt.Fprintf(w, "\nfault/repair timeline (%d events on dsn-64)\n\n", len(plan.Events))
-	for _, tl := range []struct {
-		name    string
-		certify func(edgeDead, swDead []bool) verify.Certificate
-	}{
-		{"updown-escape", func(ed, sd []bool) verify.Certificate {
-			return verify.CertifyDegradedUpDown(g, ed, sd, 4)
-		}},
-		{"dsn-ring-detour", func(ed, sd []bool) verify.Certificate {
-			return verify.CertifyDegradedDSN(d, ed, sd)
-		}},
-	} {
-		entries, err := verify.CertifyFaultTimeline(g, plan, tl.certify)
+	fmt.Fprintf(w, "\nfault/repair timeline (%d events on %s)\n\n", len(fs.plan.Events), fs.fabric)
+	var errs []error
+	for _, tl := range fs.timelines {
+		entries, err := verify.CertifyFaultTimeline(fs.g, fs.plan, tl.certify)
 		if err != nil {
-			return err
+			fmt.Fprintf(w, "%-16s error: %v\n", tl.name, err)
+			errs = append(errs, fmt.Errorf("%s: %w", tl.name, err))
+			continue
 		}
 		base := &entries[0].Cert
 		for _, en := range entries {
@@ -151,11 +187,12 @@ func writeFaultTimeline(w *strings.Builder, verbose bool) error {
 				tag = fmt.Sprintf("event %d @%d", en.Index, en.Cycle)
 			}
 			restored := ""
-			if en.Index == len(plan.Events)-1 {
+			if en.Index == len(fs.plan.Events)-1 {
 				if verify.SameCertificate(base, &en.Cert) {
 					restored = "  [repair restored the pristine certificate]"
 				} else {
 					restored = "  [REPAIR DID NOT RESTORE THE CERTIFICATE]"
+					errs = append(errs, fmt.Errorf("%s: repair did not restore the pristine certificate", tl.name))
 				}
 			}
 			fmt.Fprintf(w, "%-16s %-14s status=%-9s channels=%-4d deps=%-5d%s\n",
@@ -165,10 +202,7 @@ func writeFaultTimeline(w *strings.Builder, verbose bool) error {
 					fmt.Fprintf(w, "    %-34s %s\n", chk.Name, chk.Detail)
 				}
 			}
-			if en.Index == len(plan.Events)-1 && !verify.SameCertificate(base, &en.Cert) {
-				return fmt.Errorf("%s: repair did not restore the pristine certificate", tl.name)
-			}
 		}
 	}
-	return nil
+	return errors.Join(errs...)
 }
