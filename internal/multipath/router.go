@@ -2,6 +2,7 @@ package multipath
 
 import (
 	"fmt"
+	"slices"
 
 	"dsnet/internal/graph"
 	"dsnet/internal/netsim"
@@ -162,81 +163,61 @@ func (r *Router) PathIndex(st netsim.PacketState) int { return pathIndex(st.RtSt
 func (r *Router) HopBound() int { return r.tab.MaxHops() + r.ud0.MaxHops() }
 
 // UpdateFaults implements netsim.FaultAware: the escape tree is rebuilt
-// on the surviving subgraph rooted at the lowest live switch, and every
-// pair's live-path mask is recomputed so selection (including the free
-// re-selection a transport retry gets from its Step/RtState reset)
-// sprays only over surviving paths.
+// on the surviving subgraph rooted at the lowest live switch
+// (routing.Surviving), and every pair's live-path mask is recomputed
+// (PathSet.LiveMask) so selection (including the free re-selection a
+// transport retry gets from its Step/RtState reset) sprays only over
+// surviving paths.
 func (r *Router) UpdateFaults(edgeDead, swDead []bool) {
 	r.edgeDead = append(r.edgeDead[:0], edgeDead...)
 	r.swDead = append(r.swDead[:0], swDead...)
-	r.faulted = false
-	for _, d := range r.edgeDead {
-		if d {
-			r.faulted = true
-		}
-	}
-	for _, d := range r.swDead {
-		if d {
-			r.faulted = true
-		}
-	}
+	r.faulted = slices.Contains(r.edgeDead, true) || slices.Contains(r.swDead, true)
 	if !r.faulted { // fully repaired: restore pristine tables
 		r.ud = r.ud0
 		copy(r.liveMask, r.fullMask)
 		return
 	}
-	alive := r.g.Subgraph(func(e int) bool {
-		if r.edgeDead[e] {
-			return false
-		}
-		ed := r.g.Edge(e)
-		return !r.swDead[ed.U] && !r.swDead[ed.V]
-	})
-	root := 0
-	for root < len(r.swDead)-1 && r.swDead[root] {
-		root++
-	}
-	if ud, err := routing.NewUpDownPartial(alive, root); err == nil {
-		r.ud = ud
-	}
+	_, r.ud = routing.Surviving(r.g, r.edgeDead, r.swDead)
 	for i := range r.tab.Sets {
-		var mask uint16
-		for pi, p := range r.tab.Sets[i].Paths {
-			if r.pathAlive(p) {
-				mask |= 1 << pi
-			}
-		}
-		r.liveMask[i] = mask
+		r.liveMask[i] = r.tab.Sets[i].LiveMask(r.g, r.edgeDead, r.swDead)
 	}
 }
 
-// pathAlive reports whether every vertex survives and every hop retains
-// at least one live physical edge.
-func (r *Router) pathAlive(p Path) bool {
-	for _, v := range p {
-		if r.swDead[v] {
-			return false
+// LiveMask returns the paths of ps that survive the fault masks: bit i
+// is set while every switch of path i is alive and every hop keeps at
+// least one live parallel edge. Router.UpdateFaults sprays over these
+// paths, and verify counts the pairs it leaves without one. Nil or
+// short masks count as alive.
+func (ps *PathSet) LiveMask(g *graph.Graph, edgeDead, swDead []bool) uint16 {
+	var live uint16
+	for pi, p := range ps.Paths {
+		ok := true
+		for i := 0; ok && i < len(p); i++ {
+			ok = !dead(swDead, int(p[i]))
+			if ok && i > 0 {
+				_, ok = liveEdge(g, edgeDead, int(p[i-1]), int(p[i]))
+			}
+		}
+		if ok {
+			live |= 1 << pi
 		}
 	}
-	for i := 0; i+1 < len(p); i++ {
-		if _, ok := r.liveEdge(int(p[i]), int(p[i+1])); !ok {
-			return false
-		}
-	}
-	return true
+	return live
 }
 
 // liveEdge returns a surviving physical edge between two switches (the
 // lowest-index one, for determinism with parallel links).
-func (r *Router) liveEdge(u, v int) (int32, bool) {
+func liveEdge(g *graph.Graph, edgeDead []bool, u, v int) (int32, bool) {
 	best := int32(-1)
-	for _, h := range r.g.Neighbors(u) {
-		if int(h.To) == v && !r.edgeDead[h.Edge] && (best < 0 || h.Edge < best) {
+	for _, h := range g.Neighbors(u) {
+		if int(h.To) == v && !dead(edgeDead, int(h.Edge)) && (best < 0 || h.Edge < best) {
 			best = h.Edge
 		}
 	}
 	return best, best >= 0
 }
+
+func dead(mask []bool, i int) bool { return i < len(mask) && mask[i] }
 
 // splitmix64 is the seeded per-flow hash of the static selector.
 func splitmix64(x uint64) uint64 {
@@ -332,7 +313,7 @@ func (r *Router) appendPathHead(st netsim.PacketState, ps *PathSet, pi int, buf 
 func (r *Router) appendHop(next int, state uint8, sw int, buf []netsim.Candidate) []netsim.Candidate {
 	edge := netsim.EdgeAny
 	if r.faulted {
-		e, ok := r.liveEdge(sw, next)
+		e, ok := liveEdge(r.g, r.edgeDead, sw, next)
 		if !ok {
 			return buf // mask said live but the hop is gone; caller's escape covers it
 		}

@@ -1,11 +1,6 @@
 package netsim
 
-import (
-	"fmt"
-
-	"dsnet/internal/graph"
-	"dsnet/internal/recovery"
-)
+import "dsnet/internal/recovery"
 
 // recState is the per-run recovery machinery shared by both engines:
 // the armed config, the counters/event tracker, the up*/down* escape
@@ -75,15 +70,6 @@ func (r *recState) finishDrain(now int64, swap func()) {
 	}
 	r.draining = false
 	r.tr.DrainEnd(now)
-}
-
-// rebuild re-derives the escape tables for the current fault masks.
-func (r *recState) rebuild(g *graph.Graph, edgeDead, swDead []bool) {
-	if err := r.esc.Rebuild(g, edgeDead, swDead); err != nil {
-		// NewUpDownPartial only rejects an out-of-range root; the
-		// lowest-live-root scan keeps it in range for any mask.
-		panic(fmt.Sprintf("netsim: escape rebuild: %v", err))
-	}
 }
 
 // fill copies the tracker's books into a Result.

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 
 	"dsnet/internal/core"
 	"dsnet/internal/graph"
@@ -114,42 +115,19 @@ func NewDuatoUpDown(g *graph.Graph, vcs int) (*DuatoUpDown, error) {
 
 // UpdateFaults implements FaultAware: distances and the up*/down* escape
 // tree are rebuilt on the surviving subgraph, rooted at the lowest-ID
-// live switch. Pairs separated by the faults get no candidates at all,
-// which the simulator's timeout/retry transport turns into drops rather
-// than deadlock.
+// live switch (routing.Surviving). Pairs separated by the faults get no
+// candidates at all, which the simulator's timeout/retry transport
+// turns into drops rather than deadlock.
 func (r *DuatoUpDown) UpdateFaults(edgeDead, swDead []bool) {
 	r.edgeDead = append(r.edgeDead[:0], edgeDead...)
 	r.swDead = append(r.swDead[:0], swDead...)
-	r.faulted = false
-	for _, d := range r.edgeDead {
-		if d {
-			r.faulted = true
-		}
-	}
-	for _, d := range r.swDead {
-		if d {
-			r.faulted = true
-		}
-	}
+	r.faulted = slices.Contains(r.edgeDead, true) || slices.Contains(r.swDead, true)
 	if !r.faulted { // everything repaired: restore the pristine tables
 		r.dt, r.ud = r.dt0, r.ud0
 		return
 	}
-	alive := r.g.Subgraph(func(e int) bool {
-		if r.edgeDead[e] {
-			return false
-		}
-		ed := r.g.Edge(e)
-		return !r.swDead[ed.U] && !r.swDead[ed.V]
-	})
-	root := 0
-	for root < len(r.swDead)-1 && r.swDead[root] {
-		root++
-	}
-	r.dt = routing.NewDistanceTable(alive)
-	if ud, err := routing.NewUpDownPartial(alive, root); err == nil {
-		r.ud = ud
-	}
+	alive, ud := routing.Surviving(r.g, r.edgeDead, r.swDead)
+	r.dt, r.ud = routing.NewDistanceTable(alive), ud
 }
 
 // Candidates implements Router.
@@ -247,8 +225,10 @@ func (r *UpDownOnly) Candidates(st PacketState, sw int, buf []Candidate) []Candi
 // The three groups are phase-ordered (PRE-WORK < MAIN < FINISH), and
 // within VC 0 the pred-direction Up hops cannot mingle with succ-direction
 // MAIN hops of another packet into a cycle because Up links never leave a
-// super node; deadlock freedom is checked empirically by the package
-// tests via the CDG of the exact (link, VC) sequences.
+// super node. internal/verify certifies deadlock freedom statically by
+// walking this router's Candidates over every pair (the dsnverify
+// custom/3vc combinations), and re-certifies the ring detours after
+// every fault event (CertifyDegradedDSN).
 type DSNSourceRouted struct {
 	d      *core.DSN
 	routes [][]core.Hop // [src*n+dst]
@@ -279,17 +259,7 @@ const (
 func (r *DSNSourceRouted) UpdateFaults(edgeDead, swDead []bool) {
 	r.edgeDead = append(r.edgeDead[:0], edgeDead...)
 	r.swDead = append(r.swDead[:0], swDead...)
-	r.faulted = false
-	for _, d := range r.edgeDead {
-		if d {
-			r.faulted = true
-		}
-	}
-	for _, d := range r.swDead {
-		if d {
-			r.faulted = true
-		}
-	}
+	r.faulted = slices.Contains(r.edgeDead, true) || slices.Contains(r.swDead, true)
 }
 
 // NewDSNSourceRouted precomputes all-pairs routes with the DSN custom

@@ -826,7 +826,7 @@ func (s *Sim) applyFaults() {
 	if s.rec != nil {
 		// The escape network re-derives on every epoch so recovery
 		// reinjections never ride dead links.
-		s.rec.rebuild(s.g, s.edgeDead, s.swDead)
+		s.rec.esc.Rebuild(s.g, s.edgeDead, s.swDead)
 	}
 	// Fault epoch boundary: the conservation monitor audits the books
 	// right after the masks, wheel, and queues were rewritten.

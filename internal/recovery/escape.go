@@ -28,28 +28,17 @@ func NewEscape(g *graph.Graph, vcs int) (*Escape, error) {
 		return nil, fmt.Errorf("recovery: escape network needs >= 1 VC, got %d", vcs)
 	}
 	e := &Escape{vc: int8(vcs - 1)}
-	if err := e.Rebuild(g, nil, nil); err != nil {
-		return nil, err
-	}
+	e.Rebuild(g, nil, nil)
 	return e, nil
 }
 
 // Rebuild re-derives the escape tables on the surviving subgraph,
-// re-rooting at the lowest-ID live switch — the same discipline as
-// netsim.DuatoUpDown.UpdateFaults, so verify's degraded certificates
-// describe exactly this network.
-func (e *Escape) Rebuild(g *graph.Graph, edgeDead, swDead []bool) error {
-	alive := Surviving(g, edgeDead, swDead)
-	root := 0
-	for root < g.N()-1 && len(swDead) > root && swDead[root] {
-		root++
-	}
-	ud, err := routing.NewUpDownPartial(alive, root)
-	if err != nil {
-		return err
-	}
-	e.ud = ud
-	return nil
+// re-rooted at the lowest-ID live switch. routing.Surviving is the one
+// rebuild netsim.DuatoUpDown.UpdateFaults and verify's degraded
+// certificates use too, so verify.CertifyRecoveryEscape describes
+// exactly this network.
+func (e *Escape) Rebuild(g *graph.Graph, edgeDead, swDead []bool) {
+	_, e.ud = routing.Surviving(g, edgeDead, swDead)
 }
 
 // NextHop returns the next switch on the escape path from sw to dst and
@@ -61,19 +50,3 @@ func (e *Escape) NextHop(sw, dst int, descended bool) (next int, down bool) {
 
 // VC is the virtual channel recovery traffic is confined to.
 func (e *Escape) VC() int8 { return e.vc }
-
-// UpDown exposes the underlying table for certification.
-func (e *Escape) UpDown() *routing.UpDown { return e.ud }
-
-// Surviving drops dead edges and edges incident to dead switches,
-// mirroring netsim.DuatoUpDown.UpdateFaults (and verify.survivingGraph).
-func Surviving(g *graph.Graph, edgeDead, swDead []bool) *graph.Graph {
-	return g.Subgraph(func(i int) bool {
-		if len(edgeDead) > i && edgeDead[i] {
-			return false
-		}
-		ed := g.Edge(i)
-		dead := func(sw int32) bool { return len(swDead) > int(sw) && swDead[sw] }
-		return !dead(ed.U) && !dead(ed.V)
-	})
-}

@@ -527,6 +527,42 @@ func TestUpDownPartialDisconnected(t *testing.T) {
 	}
 }
 
+// TestSurviving pins the shared fault rebuild: nil masks keep the
+// graph and root 0, a dead edge removes exactly that edge, and a dead
+// switch loses its edges and moves the root to the next live switch.
+func TestSurviving(t *testing.T) {
+	tor, err := topology.Torus2D(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := tor.Graph()
+	alive, ud := Surviving(g, nil, nil)
+	if alive.N() != g.N() || alive.M() != g.M() {
+		t.Fatalf("nil masks changed the graph: %d/%d vs %d/%d", alive.N(), alive.M(), g.N(), g.M())
+	}
+	if ud.Root != 0 {
+		t.Fatalf("pristine root = %d, want 0", ud.Root)
+	}
+	edgeDead := make([]bool, g.M())
+	edgeDead[0] = true
+	alive, _ = Surviving(g, edgeDead, nil)
+	if alive.M() != g.M()-1 {
+		t.Fatalf("one dead edge left %d edges, want %d", alive.M(), g.M()-1)
+	}
+	swDead := make([]bool, g.N())
+	swDead[0] = true
+	alive, ud = Surviving(g, nil, swDead)
+	if want := g.M() - g.Degree(0); alive.M() != want {
+		t.Fatalf("dead switch 0 left %d edges, want %d", alive.M(), want)
+	}
+	if ud.Root != 1 {
+		t.Fatalf("root with switch 0 dead = %d, want 1", ud.Root)
+	}
+	if next, _ := ud.NextHop(1, g.N()-1, false); next < 0 || next == 0 {
+		t.Fatalf("escape 1 -> %d takes hop %d", g.N()-1, next)
+	}
+}
+
 // On a connected graph the partial constructor must agree with NewUpDown.
 func TestUpDownPartialMatchesFullWhenConnected(t *testing.T) {
 	g, err := topology.DLNRandom(32, 2, 2, 4)

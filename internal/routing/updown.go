@@ -75,6 +75,26 @@ func NewUpDownPartial(g *graph.Graph, root int) (*UpDown, error) {
 	return buildUpDown(g, root, g.BFS(root)), nil
 }
 
+// Surviving derives the up*/down* escape of a fault-degraded fabric:
+// the subgraph of g without dead edges and without edges that touch a
+// dead switch, and its partial table rooted at the lowest-ID live
+// switch (the last switch when every switch is dead, so the root is
+// always in range). It is the one rebuild behind every fault-aware
+// escape: netsim.DuatoUpDown, multipath.Router, recovery.Escape and
+// verify's degraded certificates. Nil or short masks count as alive.
+func Surviving(g *graph.Graph, edgeDead, swDead []bool) (*graph.Graph, *UpDown) {
+	dead := func(mask []bool, i int) bool { return i < len(mask) && mask[i] }
+	alive := g.Subgraph(func(e int) bool {
+		ed := g.Edge(e)
+		return !dead(edgeDead, e) && !dead(swDead, int(ed.U)) && !dead(swDead, int(ed.V))
+	})
+	root := 0
+	for root < g.N()-1 && dead(swDead, root) {
+		root++
+	}
+	return alive, buildUpDown(alive, root, alive.BFS(root))
+}
+
 func buildUpDown(g *graph.Graph, root int, level []int32) *UpDown {
 	n := g.N()
 	u := &UpDown{

@@ -5,9 +5,7 @@ import (
 
 	"dsnet/internal/core"
 	"dsnet/internal/graph"
-	"dsnet/internal/netsim"
 	"dsnet/internal/routing"
-	"dsnet/internal/topology"
 )
 
 // The channel identity used throughout the engine is
@@ -39,77 +37,6 @@ func addCandidateHops(cdg *routing.CDG, hops [][]routing.ChannelHop) {
 			}
 		}
 	}
-}
-
-// dorStep mirrors netsim.DORTorus.Candidates for one hop: it returns the
-// next switch, the VC base the hop rides (the dateline bit), and the
-// packet's dateline bit after the hop.
-func dorStep(tor *topology.Torus, sw, dst int, bit uint8) (next int, base uint8, newBit uint8, ok bool) {
-	cc := tor.Coord(sw)
-	cd := tor.Coord(dst)
-	for dim := range tor.Dims {
-		delta := tor.DimDist(cc[dim], cd[dim], dim)
-		if delta == 0 {
-			continue
-		}
-		k := tor.Dims[dim]
-		step := 1
-		if delta < 0 {
-			step = -1
-		}
-		from := cc[dim]
-		to := ((from+step)%k + k) % k
-		cc[dim] = to
-		wrapped := (from == k-1 && to == 0) || (from == 0 && to == k-1)
-		b := bit
-		if wrapped {
-			b = 1
-		}
-		nb := b
-		if delta == step { // this hop aligns the dimension
-			nb = 0
-		}
-		return tor.ID(cc), b, nb, true
-	}
-	return 0, 0, 0, false
-}
-
-// DORChannels builds the full CDG of dimension-order dateline routing on
-// the torus: all-pairs routes, with the (base, base+2) VC pair offered
-// per hop when vcs >= 4, exactly as netsim.DORTorus does.
-func DORChannels(tor *topology.Torus, vcs int) (*routing.CDG, error) {
-	if vcs < 2 {
-		return nil, fmt.Errorf("verify: DOR dateline scheme needs >= 2 VCs, got %d", vcs)
-	}
-	cdg := routing.NewCDG()
-	n := tor.N()
-	var hops [][]routing.ChannelHop
-	for s := 0; s < n; s++ {
-		for t := 0; t < n; t++ {
-			if s == t {
-				continue
-			}
-			hops = hops[:0]
-			cur, bit := s, uint8(0)
-			for steps := 0; cur != t; steps++ {
-				if steps > 4*n {
-					return nil, fmt.Errorf("verify: DOR walk %d->%d did not terminate", s, t)
-				}
-				next, base, nb, ok := dorStep(tor, cur, t, bit)
-				if !ok {
-					return nil, fmt.Errorf("verify: DOR stalled at %d toward %d", cur, t)
-				}
-				opts := []routing.ChannelHop{{From: int32(cur), To: int32(next), Class: base}}
-				if vcs >= 4 {
-					opts = append(opts, routing.ChannelHop{From: int32(cur), To: int32(next), Class: base + 2})
-				}
-				hops = append(hops, opts)
-				cur, bit = next, nb
-			}
-			addCandidateHops(cdg, hops)
-		}
-	}
-	return cdg, nil
 }
 
 // UpDownChannels builds the CDG of deterministic up*/down* routing with
@@ -178,46 +105,4 @@ func DSNClassChannels(d *core.DSN, route func(s, t int) (*core.Route, error)) (*
 		}
 	}
 	return cdg, nil
-}
-
-// DSNVCChannels builds the CDG of the DSN custom routing as the
-// simulator runs it: Section V.A classes mapped onto virtual channels
-// with netsim.ClassVC, at link granularity (see the package note on why
-// merging DSN-E's parallel wires is sound).
-func DSNVCChannels(d *core.DSN) (*routing.CDG, error) {
-	if d.Variant != core.VariantE && d.Variant != core.VariantV {
-		return nil, fmt.Errorf("verify: VC-mapped certification needs DSN-E or DSN-V, got %v", d.Variant)
-	}
-	cdg := routing.NewCDG()
-	var hops []routing.ChannelHop
-	for s := 0; s < d.N; s++ {
-		for t := 0; t < d.N; t++ {
-			if s == t {
-				continue
-			}
-			r, err := d.Route(s, t)
-			if err != nil {
-				return nil, err
-			}
-			hops = hops[:0]
-			for _, h := range r.Hops {
-				ch, err := dsnVCChannel(d, h)
-				if err != nil {
-					return nil, err
-				}
-				hops = append(hops, ch)
-			}
-			cdg.AddRoute(hops)
-		}
-	}
-	return cdg, nil
-}
-
-// dsnVCChannel maps one custom-routing hop to its simulated channel.
-func dsnVCChannel(d *core.DSN, h core.Hop) (routing.ChannelHop, error) {
-	vc, err := netsim.ClassVC(h.Class)
-	if err != nil {
-		return routing.ChannelHop{}, err
-	}
-	return routing.ChannelHop{From: h.From, To: h.To, Class: uint8(vc)}, nil
 }

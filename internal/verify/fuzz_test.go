@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dsnet/internal/core"
+	"dsnet/internal/netsim"
 	"dsnet/internal/routing"
 	"dsnet/internal/topology"
 )
@@ -49,8 +50,8 @@ func FuzzUpDownTotality(f *testing.F) {
 
 // FuzzDSNRouteInvariants builds random small DSN instances across all
 // variants and asserts the paper-bound invariants and routing totality
-// never fire, and that the deadlock-free variants' VC-mapped CDG stays
-// acyclic.
+// never fire, and that the deadlock-free variants' VC-mapped CDG, walked
+// through the simulator's netsim.DSNSourceRouted, stays acyclic.
 func FuzzDSNRouteInvariants(f *testing.F) {
 	f.Add(uint8(16), uint8(2), uint8(0))
 	f.Add(uint8(64), uint8(5), uint8(0))
@@ -91,11 +92,11 @@ func FuzzDSNRouteInvariants(f *testing.F) {
 			t.Fatalf("totality fired on %s: %v", d, err)
 		}
 		if d.Variant == core.VariantE || d.Variant == core.VariantV {
-			cdg, err := DSNVCChannels(d)
+			rt, err := netsim.NewDSNSourceRouted(d)
 			if err != nil {
-				t.Fatalf("VC channel enumeration failed on %s: %v", d, err)
+				t.Fatalf("source-routed router build failed on %s: %v", d, err)
 			}
-			if cycle := cdg.FindCycle(); cycle != nil {
+			if cycle := walkRouter(rt, d.N, nil, nil).cdg.FindCycle(); cycle != nil {
 				t.Fatalf("VC-mapped CDG cyclic on %s: %v", d, cycle)
 			}
 		}

@@ -3,11 +3,9 @@ package verify
 import (
 	"fmt"
 
-	"dsnet/internal/core"
 	"dsnet/internal/graph"
 	"dsnet/internal/multipath"
 	"dsnet/internal/routing"
-	"dsnet/internal/topology"
 )
 
 // MultipathTotality verifies a multipath routing table end to end:
@@ -61,107 +59,16 @@ func CheckMultipathTotality(g *graph.Graph, tab *multipath.Table) CheckResult {
 	}
 }
 
-// multipathCombos registers the multipath certification matrix: for each
-// graph family the source-routed spray scheme runs on, and for each
-// table depth k, one combination. Deadlock freedom is Duato's argument
-// one more time: the sprayed path channels ride the unrestricted
-// adaptive VCs 1..VCs-1, so only the VC0 up*/down* escape layer — always
-// offered, exclusively carrying diverted packets — needs an acyclic CDG.
-// The selector (static, rr, adaptive) never changes which channel sets a
-// packet may occupy, only which of the offered candidates wins, so all
-// three selectors share each certificate.
-func multipathCombos(o Options) []*Combo {
-	type mpCase struct {
-		name, topo string
-		build      func() (*graph.Graph, error)
-	}
-	cases := []mpCase{
-		{
-			name: fmt.Sprintf("dln-2-2-%d", o.DLNSize),
-			topo: fmt.Sprintf("DLN-2-2 n=%d seed=%d", o.DLNSize, o.DLNSeed),
-			build: func() (*graph.Graph, error) {
-				return topology.DLNRandom(o.DLNSize, 2, 2, o.DLNSeed)
-			},
-		},
-		{
-			name: fmt.Sprintf("dsn-%d", o.BasicSize),
-			topo: fmt.Sprintf("DSN-%d-%d graph", core.CeilLog2(o.BasicSize)-1, o.BasicSize),
-			build: func() (*graph.Graph, error) {
-				d, err := core.New(o.BasicSize, core.CeilLog2(o.BasicSize)-1)
-				if err != nil {
-					return nil, err
-				}
-				return d.Graph(), nil
-			},
-		},
-		{
-			name: fmt.Sprintf("torus%dx%d", o.TorusRows, o.TorusCols),
-			topo: fmt.Sprintf("torus %dx%d", o.TorusRows, o.TorusCols),
-			build: func() (*graph.Graph, error) {
-				tor, err := topology.Torus2D(o.TorusRows, o.TorusCols)
-				if err != nil {
-					return nil, err
-				}
-				return tor.Graph(), nil
-			},
-		},
-	}
-	var combos []*Combo
-	for _, mc := range cases {
-		mc := mc
-		for _, k := range []int{2, 4, 8} {
-			k := k
-			cb := &Combo{
-				Name:     fmt.Sprintf("%s/multipath-k%d/%dvc", mc.name, k, o.VCs),
-				Topology: mc.topo,
-				Routing:  fmt.Sprintf("multipath-spray k=%d", k),
-				VCs:      o.VCs,
-				Doc:      "sprayed path channels ride unrestricted VCs; the VC0 up*/down* escape certifies deadlock freedom (selector-independent)",
-			}
-			cb.Run = func() Certificate {
-				cert := newCert(cb)
-				g, err := mc.build()
-				if err != nil {
-					finish(&cert, nil, err)
-					return cert
-				}
-				tab, err := multipath.BuildTable(g, k)
-				if err != nil {
-					finish(&cert, nil, err)
-					return cert
-				}
-				ud, err := routing.NewUpDown(g, 0)
-				if err != nil {
-					finish(&cert, nil, err)
-					return cert
-				}
-				cdg, err := UpDownChannels(g, ud, 1)
-				if err == nil {
-					cert.Checks = append(cert.Checks,
-						CheckUpDownTotality(g, ud),
-						CheckDuatoConsistency(g, ud),
-						CheckMultipathTotality(g, tab))
-				}
-				finish(&cert, cdg, err)
-				return cert
-			}
-			combos = append(combos, cb)
-		}
-	}
-	return combos
-}
-
 // CertifyDegradedMultipath certifies the multipath scheme on a
-// fault-degraded fabric, statically replaying what
-// multipath.Router.UpdateFaults arms at runtime: the up*/down* escape is
-// rebuilt on the surviving subgraph (dead edges and edges touching dead
-// switches dropped, tree re-rooted at the lowest live switch), and each
-// pair's sprayed paths are masked to the survivors. Deadlock freedom
-// only needs the rebuilt escape to stay acyclic — pairs whose sprayed
-// paths all die divert permanently onto it. The faulted:multipath-live
-// check records the live/diverted/unreachable pair split for the report;
-// diversion and disconnection are legal under faults, so it always
-// holds.
+// fault-degraded fabric with the derivations multipath.Router.UpdateFaults
+// runs: the up*/down* escape rebuilt on the surviving subgraph
+// (routing.Surviving), enumerated at vcs channel classes, and each
+// pair's sprayed paths masked to the survivors (PathSet.LiveMask).
+// Deadlock freedom only needs the rebuilt escape to stay acyclic —
+// pairs whose sprayed paths all die divert permanently onto it. The
+// faulted:multipath-live check records the live/diverted/unreachable
+// pair split for the report; diversion and disconnection are legal
+// under faults, so it always holds.
 func CertifyDegradedMultipath(g *graph.Graph, tab *multipath.Table, edgeDead, swDead []bool, vcs int) Certificate {
 	cert := Certificate{
 		Combo:    "degraded/multipath",
@@ -170,16 +77,7 @@ func CertifyDegradedMultipath(g *graph.Graph, tab *multipath.Table, edgeDead, sw
 		VCs:      vcs,
 		Doc:      "escape re-certified on survivors; sprayed paths masked to live ones",
 	}
-	alive := survivingGraph(g, edgeDead, swDead)
-	root := 0
-	for root < g.N()-1 && len(swDead) > root && swDead[root] {
-		root++
-	}
-	ud, err := routing.NewUpDownPartial(alive, root)
-	if err != nil {
-		finish(&cert, nil, err)
-		return cert
-	}
+	alive, ud := routing.Surviving(g, edgeDead, swDead)
 	cdg, err := UpDownChannels(alive, ud, vcs)
 	if err == nil {
 		live, diverted, unreachable := 0, 0, 0
@@ -193,7 +91,7 @@ func CertifyDegradedMultipath(g *graph.Graph, tab *multipath.Table, edgeDead, sw
 					continue
 				}
 				switch {
-				case survivingPaths(g, tab.Set(s, d), edgeDead, swDead) > 0:
+				case tab.Set(s, d).LiveMask(g, edgeDead, swDead) != 0:
 					live++
 				case reachable(alive, dist, s, d):
 					diverted++ // all sprayed paths dead: rides the escape
@@ -213,33 +111,6 @@ func CertifyDegradedMultipath(g *graph.Graph, tab *multipath.Table, edgeDead, sw
 	}
 	finish(&cert, cdg, err)
 	return cert
-}
-
-// survivingPaths counts the paths of one pair that remain fully usable:
-// every visited switch alive, every hop with at least one surviving
-// parallel edge (the mask multipath.Router.UpdateFaults computes).
-func survivingPaths(g *graph.Graph, ps *multipath.PathSet, edgeDead, swDead []bool) int {
-	n := 0
-	for _, p := range ps.Paths {
-		if pathSurvives(g, p, edgeDead, swDead) {
-			n++
-		}
-	}
-	return n
-}
-
-func pathSurvives(g *graph.Graph, p multipath.Path, edgeDead, swDead []bool) bool {
-	for _, v := range p {
-		if swAt(swDead, int(v)) {
-			return false
-		}
-	}
-	for i := 0; i+1 < len(p); i++ {
-		if !anyEdgeAlive(g, edgeDead, int(p[i]), int(p[i+1])) {
-			return false
-		}
-	}
-	return true
 }
 
 // reachable memoizes per-source BFS distances over the surviving graph.

@@ -5,18 +5,17 @@ import (
 
 	"dsnet/internal/graph"
 	"dsnet/internal/netsim"
-	"dsnet/internal/recovery"
+	"dsnet/internal/routing"
 )
 
 // CertifyRecoveryEscape certifies the up*/down* escape network that the
 // runtime deadlock-recovery subsystem rebuilds for victim reinjection on
-// a fault-degraded fabric. The tables are produced by recovery.Escape
-// itself — the same lowest-live-root rebuild the simulators invoke at
-// each fault epoch — so the certificate describes exactly the network
-// aborted packets ride. Recovering packets are pinned to the single
-// escape VC (VCs-1), hence the CDG is enumerated at one channel class:
-// Dally-Seitz acyclicity of that class is what makes a recovery abort
-// terminal rather than a new deadlock.
+// a fault-degraded fabric. recovery.Escape.Rebuild derives its tables
+// with routing.Surviving, the rebuild used here, so the certificate
+// describes exactly the network aborted packets ride. Recovering
+// packets are pinned to the single escape VC (VCs-1), hence the CDG is
+// enumerated at one channel class: Dally-Seitz acyclicity of that class
+// is what makes a recovery abort terminal rather than a new deadlock.
 func CertifyRecoveryEscape(g *graph.Graph, edgeDead, swDead []bool, vcs int) Certificate {
 	cert := Certificate{
 		Combo:    "recovery/escape",
@@ -25,18 +24,14 @@ func CertifyRecoveryEscape(g *graph.Graph, edgeDead, swDead []bool, vcs int) Cer
 		VCs:      vcs,
 		Doc:      "deadlock-recovery reinjection network re-certified on the surviving subgraph",
 	}
-	esc, err := recovery.NewEscape(g, vcs)
-	if err == nil {
-		err = esc.Rebuild(g, edgeDead, swDead)
-	}
-	if err != nil {
-		finish(&cert, nil, err)
+	if vcs < 1 {
+		finish(&cert, nil, fmt.Errorf("verify: recovery escape needs >= 1 VC, got %d", vcs))
 		return cert
 	}
-	alive := recovery.Surviving(g, edgeDead, swDead)
-	cdg, err := UpDownChannels(alive, esc.UpDown(), 1)
+	alive, ud := routing.Surviving(g, edgeDead, swDead)
+	cdg, err := UpDownChannels(alive, ud, 1)
 	if err == nil {
-		cert.Checks = append(cert.Checks, CheckUpDownTotality(alive, esc.UpDown()))
+		cert.Checks = append(cert.Checks, CheckUpDownTotality(alive, ud))
 	}
 	finish(&cert, cdg, err)
 	return cert

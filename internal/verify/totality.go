@@ -7,7 +7,6 @@ import (
 	"dsnet/internal/graph"
 	"dsnet/internal/netsim"
 	"dsnet/internal/routing"
-	"dsnet/internal/topology"
 )
 
 // check wraps an error-returning totality verifier into a CheckResult.
@@ -79,85 +78,6 @@ func UpDownTotality(g *graph.Graph, ud *routing.UpDown) error {
 // CheckUpDownTotality is UpDownTotality as a report check.
 func CheckUpDownTotality(g *graph.Graph, ud *routing.UpDown) CheckResult {
 	return check("totality:updown", UpDownTotality(g, ud))
-}
-
-// DuatoConsistency verifies the adaptive layer of the Duato-style
-// router: for every connected pair the minimal candidate set is
-// non-empty and every candidate strictly decreases the distance (the
-// monotone claim of minimal adaptive routing), and the escape
-// continuation exists at every intermediate state — a blocked packet can
-// always fall back to the escape channel.
-func DuatoConsistency(g *graph.Graph, ud *routing.UpDown) error {
-	dt := routing.NewDistanceTable(g)
-	n := g.N()
-	var buf []int32
-	for s := 0; s < n; s++ {
-		for t := 0; t < n; t++ {
-			if s == t || dt.D(s, t) == graph.Unreachable {
-				continue
-			}
-			buf = dt.MinimalNextHops(g, s, t, buf)
-			if len(buf) == 0 {
-				return fmt.Errorf("verify: no minimal next hop for %d->%d at distance %d", s, t, dt.D(s, t))
-			}
-			for _, h := range buf {
-				if dt.D(int(h), t) != dt.D(s, t)-1 {
-					return fmt.Errorf("verify: candidate %d for %d->%d does not decrease distance", h, s, t)
-				}
-			}
-			if next, _ := ud.NextHop(s, t, false); next < 0 {
-				return fmt.Errorf("verify: escape continuation missing at %d toward %d", s, t)
-			}
-		}
-	}
-	return nil
-}
-
-// CheckDuatoConsistency is DuatoConsistency as a report check.
-func CheckDuatoConsistency(g *graph.Graph, ud *routing.UpDown) CheckResult {
-	return check("consistency:duato-adaptive", DuatoConsistency(g, ud))
-}
-
-// DORTotality verifies dimension-order routing over every pair: the walk
-// terminates, rides real torus edges, and strictly decreases the hop
-// distance on every hop (DOR on a torus is minimal).
-func DORTotality(tor *topology.Torus) error {
-	n := tor.N()
-	for s := 0; s < n; s++ {
-		for t := 0; t < n; t++ {
-			if s == t {
-				continue
-			}
-			cur, bit := s, uint8(0)
-			remain := tor.HopDist(s, t)
-			for steps := 0; cur != t; steps++ {
-				if steps > 4*n {
-					return fmt.Errorf("verify: DOR %d->%d did not terminate", s, t)
-				}
-				next, _, nb, ok := dorStep(tor, cur, t, bit)
-				if !ok {
-					return fmt.Errorf("verify: DOR stalled at %d toward %d", cur, t)
-				}
-				if next == cur {
-					return fmt.Errorf("verify: DOR self-loop at %d toward %d", cur, t)
-				}
-				if !tor.Graph().HasEdge(cur, next) {
-					return fmt.Errorf("verify: DOR hop %d->%d rides no edge", cur, next)
-				}
-				if d := tor.HopDist(next, t); d != remain-1 {
-					return fmt.Errorf("verify: DOR hop %d->%d toward %d not minimal (%d -> %d)", cur, next, t, remain, d)
-				}
-				remain--
-				cur, bit = next, nb
-			}
-		}
-	}
-	return nil
-}
-
-// CheckDORTotality is DORTotality as a report check.
-func CheckDORTotality(tor *topology.Torus) CheckResult {
-	return check("totality:dor", DORTotality(tor))
 }
 
 // ringDelta returns the signed clockwise progress of one custom-routing
