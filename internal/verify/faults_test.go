@@ -125,3 +125,23 @@ func TestDegradedDSNRingPartitionDrops(t *testing.T) {
 func hasSuffix(s, suf string) bool {
 	return len(s) >= len(suf) && s[len(s)-len(suf):] == suf
 }
+
+// TestDegradedDSNShortMasks pins that nil or short fault masks count as
+// alive: a link-only fault set passed without a switch mask certifies
+// exactly as with an all-alive one (the router itself indexes full-size
+// masks).
+func TestDegradedDSNShortMasks(t *testing.T) {
+	d, err := core.NewV(36)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edgeDead := make([]bool, d.Graph().M())
+	edgeDead[3], edgeDead[17] = true, true
+	full := CertifyDegradedDSN(d, edgeDead, make([]bool, d.N))
+	short := CertifyDegradedDSN(d, edgeDead[:18], nil)
+	if !SameCertificate(&full, &short) || full.Checks[0].Detail != short.Checks[0].Detail {
+		t.Errorf("short masks certify differently: %v %d/%d %q vs %v %d/%d %q",
+			short.Status, short.Channels, short.Deps, short.Checks[0].Detail,
+			full.Status, full.Channels, full.Deps, full.Checks[0].Detail)
+	}
+}
