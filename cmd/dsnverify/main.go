@@ -11,7 +11,9 @@
 // out cyclic, and the report prints the concrete witness cycle; every
 // other combination must certify. The exit status is non-zero the
 // moment any combination misses its expectation, which is what CI
-// gates on.
+// gates on. With -faults it is also non-zero when the degraded
+// up*/down* escape is not certified after some fault event, or when
+// repair does not restore a pristine certificate.
 //
 // Usage:
 //
@@ -125,15 +127,19 @@ type faultSection struct {
 }
 
 // timeline is one certifier replayed over the plan, event by event.
+// When mustPass is set, the certificate must pass after every event;
+// otherwise its verdicts are recorded only.
 type timeline struct {
-	name    string
-	certify func(edgeDead, swDead []bool) verify.Certificate
+	name     string
+	certify  func(edgeDead, swDead []bool) verify.Certificate
+	mustPass bool
 }
 
 // faultTimelines builds the -faults section: the degraded escape
-// network and the DSN ring-detour re-sourcing on DSN-64. It is a
-// variable so that tests can substitute a timeline whose repair does
-// not restore its certificate.
+// network, which must stay certified on every fault set, and the DSN
+// ring-detour re-sourcing on DSN-64, whose detours may close a ring
+// cycle and are recorded only. It is a variable so that tests can
+// substitute failing timelines.
 var faultTimelines = func() (faultSection, error) {
 	d, err := core.New(64, 5)
 	if err != nil {
@@ -154,18 +160,18 @@ var faultTimelines = func() (faultSection, error) {
 		timelines: []timeline{
 			{"updown-escape", func(ed, sd []bool) verify.Certificate {
 				return verify.CertifyDegradedUpDown(g, ed, sd, 4)
-			}},
+			}, true},
 			{"dsn-ring-detour", func(ed, sd []bool) verify.Certificate {
 				return verify.CertifyDegradedDSN(d, ed, sd)
-			}},
+			}, false},
 		},
 	}, nil
 }
 
 // writeFaultTimeline certifies each timeline after every event of the
-// fault plan and checks that full repair restores the pristine
-// certificates. Every timeline is rendered; the error names each one
-// that failed.
+// fault plan, checks that a must-pass timeline passes at every event
+// and that full repair restores the pristine certificates. Every
+// timeline is rendered, failures marked; the error names each failure.
 func writeFaultTimeline(w *strings.Builder, verbose bool) error {
 	fs, err := faultTimelines()
 	if err != nil {
@@ -186,17 +192,24 @@ func writeFaultTimeline(w *strings.Builder, verbose bool) error {
 			if en.Index >= 0 {
 				tag = fmt.Sprintf("event %d @%d", en.Index, en.Cycle)
 			}
-			restored := ""
+			marks := ""
+			if tl.mustPass && !en.Cert.OK() {
+				marks = "  [NOT CERTIFIED]"
+				errs = append(errs, fmt.Errorf("%s: %s not certified", tl.name, tag))
+			}
 			if en.Index == len(fs.plan.Events)-1 {
 				if verify.SameCertificate(base, &en.Cert) {
-					restored = "  [repair restored the pristine certificate]"
+					marks += "  [repair restored the pristine certificate]"
 				} else {
-					restored = "  [REPAIR DID NOT RESTORE THE CERTIFICATE]"
+					marks += "  [REPAIR DID NOT RESTORE THE CERTIFICATE]"
 					errs = append(errs, fmt.Errorf("%s: repair did not restore the pristine certificate", tl.name))
 				}
 			}
 			fmt.Fprintf(w, "%-16s %-14s status=%-9s channels=%-4d deps=%-5d%s\n",
-				tl.name, tag, en.Cert.Status, en.Cert.Channels, en.Cert.Deps, restored)
+				tl.name, tag, en.Cert.Status, en.Cert.Channels, en.Cert.Deps, marks)
+			if en.Cert.Err != "" {
+				fmt.Fprintf(w, "    error: %s\n", en.Cert.Err)
+			}
 			if verbose {
 				for _, chk := range en.Cert.Checks {
 					fmt.Fprintf(w, "    %-34s %s\n", chk.Name, chk.Detail)

@@ -134,12 +134,8 @@ func TestRunFaultTimelineRepairFailure(t *testing.T) {
 	broken := timeline{"never-restores", func(ed, sd []bool) verify.Certificate {
 		calls++ // every certificate differs from the one before it
 		return verify.Certificate{Status: verify.StatusCertified, Channels: calls}
-	}}
-	fs := healthy
-	fs.timelines = []timeline{broken, healthy.timelines[0]}
-	orig := faultTimelines
-	faultTimelines = func() (faultSection, error) { return fs, nil }
-	t.Cleanup(func() { faultTimelines = orig })
+	}, false}
+	substituteTimelines(t, broken, healthy.timelines[0])
 
 	path := filepath.Join(t.TempDir(), "report.txt")
 	var sb strings.Builder
@@ -164,5 +160,84 @@ func TestRunFaultTimelineRepairFailure(t *testing.T) {
 	}
 	if string(data) != out {
 		t.Error("report file differs from stdout report")
+	}
+}
+
+// substituteTimelines runs the -faults section of the tests below over
+// tls instead of the standard timelines, on the same plan and fabric.
+func substituteTimelines(t *testing.T, tls ...timeline) {
+	t.Helper()
+	healthy, err := faultTimelines()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := healthy
+	fs.timelines = tls
+	orig := faultTimelines
+	faultTimelines = func() (faultSection, error) { return fs, nil }
+	t.Cleanup(func() { faultTimelines = orig })
+}
+
+// TestRunFaultTimelineNotCertified pins the per-event gate of -faults: a
+// must-pass timeline that is cyclic after one event (the switch death,
+// event 2) fails the run and marks that event only, although its repair
+// restores the pristine certificate. A record-only timeline with the
+// same verdicts fails nothing.
+func TestRunFaultTimelineNotCertified(t *testing.T) {
+	healthy, err := faultTimelines()
+	if err != nil {
+		t.Fatal(err)
+	}
+	escape := healthy.timelines[0].certify
+	cyclicWhileSwitchDead := func(ed, sd []bool) verify.Certificate {
+		c := escape(ed, sd)
+		if sd[40] {
+			c.Status = verify.StatusCyclic
+		}
+		return c
+	}
+	substituteTimelines(t,
+		timeline{"escape-gated", cyclicWhileSwitchDead, true},
+		timeline{"escape-recorded", cyclicWhileSwitchDead, false})
+
+	var sb strings.Builder
+	err = run(opts{faults: true}, &sb)
+	if err == nil || err.Error() != "escape-gated: event 2 @30 not certified" {
+		t.Fatalf("run error = %v, want only the gated timeline's event 2 named", err)
+	}
+	out := sb.String()
+	var marked []string
+	for _, line := range strings.Split(out, "\n") {
+		if strings.Contains(line, "NOT CERTIFIED") {
+			marked = append(marked, line)
+		}
+	}
+	want := "escape-gated     event 2 @30    status=cyclic    channels=896  deps=6976   [NOT CERTIFIED]"
+	if len(marked) != 1 || marked[0] != want {
+		t.Errorf("marked lines %q, want only %q:\n%s", marked, want, out)
+	}
+	if strings.Count(out, "[repair restored the pristine certificate]") != 2 {
+		t.Errorf("both repairs should restore their certificates:\n%s", out)
+	}
+}
+
+// TestRunFaultTimelineErrorDetail pins how -faults renders a certifier
+// error: the entry's row is followed by the certificate's error, as in
+// the matrix section.
+func TestRunFaultTimelineErrorDetail(t *testing.T) {
+	substituteTimelines(t, timeline{"build-fails", func(ed, sd []bool) verify.Certificate {
+		if sd[40] {
+			return verify.Certificate{Status: verify.StatusError, Err: "router build failed"}
+		}
+		return verify.Certificate{Status: verify.StatusCertified}
+	}, false})
+
+	var sb strings.Builder
+	if err := run(opts{faults: true}, &sb); err != nil {
+		t.Fatal(err)
+	}
+	want := "build-fails      event 2 @30    status=error     channels=0    deps=0    \n    error: router build failed\n"
+	if out := sb.String(); !strings.Contains(out, want) || strings.Count(out, "error:") != 1 {
+		t.Errorf("report should show the error under event 2 only:\n%s", out)
 	}
 }

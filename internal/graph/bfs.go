@@ -123,27 +123,38 @@ func (g *Graph) Connected() bool {
 
 // ComponentCount returns the number of connected components.
 func (g *Graph) ComponentCount() int {
-	seen := make([]bool, g.n)
+	_, count := g.Components()
+	return count
+}
+
+// Components labels every vertex with its connected component and
+// returns the labels with their count. Labels run from 0 in the order of
+// each component's lowest vertex, so two vertices are connected exactly
+// when their labels are equal.
+func (g *Graph) Components() (label []int32, count int) {
+	label = make([]int32, g.n)
+	for i := range label {
+		label[i] = -1
+	}
 	queue := make([]int32, 0, g.n)
-	comps := 0
 	for s := 0; s < g.n; s++ {
-		if seen[s] {
+		if label[s] >= 0 {
 			continue
 		}
-		comps++
-		seen[s] = true
+		label[s] = int32(count)
 		queue = append(queue[:0], int32(s))
 		for head := 0; head < len(queue); head++ {
 			u := queue[head]
 			for _, h := range g.adj[u] {
-				if !seen[h.To] {
-					seen[h.To] = true
+				if label[h.To] < 0 {
+					label[h.To] = int32(count)
 					queue = append(queue, h.To)
 				}
 			}
 		}
+		count++
 	}
-	return comps
+	return label, count
 }
 
 // PathMetrics aggregates the all-pairs shortest-path statistics the paper's

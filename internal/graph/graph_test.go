@@ -3,6 +3,7 @@ package graph
 import (
 	"errors"
 	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -158,6 +159,9 @@ func TestBFSDisconnected(t *testing.T) {
 	}
 	if c := g.ComponentCount(); c != 2 {
 		t.Fatalf("components=%d, want 2", c)
+	}
+	if label, _ := g.Components(); !slices.Equal(label, []int32{0, 0, 1, 1}) {
+		t.Fatalf("component labels = %v, want [0 0 1 1]", label)
 	}
 }
 

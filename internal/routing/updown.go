@@ -60,21 +60,6 @@ func NewUpDown(g *graph.Graph, root int) (*UpDown, error) {
 	return buildUpDown(g, root, level), nil
 }
 
-// NewUpDownPartial builds up*/down* tables without requiring
-// connectivity, for routing on a fault-degraded graph. Switches outside
-// the root's component are ranked after every reachable switch (the
-// orientation stays a total order, so the escape network stays acyclic);
-// pairs with no legal surviving path simply get a -1 next hop, which
-// fault-aware callers translate into a timeout-and-drop rather than a
-// construction error.
-func NewUpDownPartial(g *graph.Graph, root int) (*UpDown, error) {
-	n := g.N()
-	if root < 0 || root >= n {
-		return nil, fmt.Errorf("routing: up*/down* root %d out of range [0,%d)", root, n)
-	}
-	return buildUpDown(g, root, g.BFS(root)), nil
-}
-
 // Surviving derives the up*/down* escape of a fault-degraded fabric:
 // the subgraph of g without dead edges and without edges that touch a
 // dead switch, and its partial table rooted at the lowest-ID live
@@ -218,18 +203,26 @@ func (u *UpDown) NextHop(cur, dst int, descended bool) (next int, down bool) {
 
 // Path materializes the full up*/down* route from s to t (inclusive).
 func (u *UpDown) Path(s, t int) ([]int, error) {
-	path := []int{s}
+	return u.AppendPath(nil, s, t)
+}
+
+// AppendPath appends the up*/down* route from s to t (inclusive) to buf
+// and returns the extended slice, so a caller that routes many pairs can
+// reuse one buffer. On error the returned slice still holds buf's
+// storage, for reuse.
+func (u *UpDown) AppendPath(buf []int, s, t int) ([]int, error) {
+	path := append(buf, s)
 	cur, descended := s, false
 	for cur != t {
 		next, down := u.NextHop(cur, t, descended)
 		if next < 0 {
-			return nil, fmt.Errorf("routing: up*/down* has no continuation at %d toward %d (descended=%v)", cur, t, descended)
+			return path[:len(buf)], fmt.Errorf("routing: up*/down* has no continuation at %d toward %d (descended=%v)", cur, t, descended)
 		}
 		descended = descended || down
 		cur = next
 		path = append(path, cur)
-		if len(path) > 2*u.n {
-			return nil, fmt.Errorf("routing: up*/down* path %d->%d did not terminate", s, t)
+		if len(path)-len(buf) > 2*u.n {
+			return path[:len(buf)], fmt.Errorf("routing: up*/down* path %d->%d did not terminate", s, t)
 		}
 	}
 	return path, nil

@@ -215,7 +215,7 @@ func Evaluate(g Genome, cfg EvalConfig) (Eval, error) {
 	if err != nil {
 		return rejected(g, RejectUncertified, err.Error()), nil
 	}
-	cdg, err := verify.UpDownChannels(gr, ud, 1)
+	cdg, totality, err := verify.UpDownEscape(gr, ud, 1)
 	if err != nil {
 		return rejected(g, RejectUncertified, err.Error()), nil
 	}
@@ -231,9 +231,9 @@ func Evaluate(g Genome, cfg EvalConfig) (Eval, error) {
 		ev.CertDetail = fmt.Sprintf("CDG cycle of length %d", len(cyc))
 		return ev, nil
 	}
-	if chk := verify.CheckUpDownTotality(gr, ud); !chk.OK {
+	if !totality.OK {
 		ev.Rejected = RejectUncertified
-		ev.CertDetail = chk.Detail
+		ev.CertDetail = totality.Detail
 		return ev, nil
 	}
 	ev.Certified = true

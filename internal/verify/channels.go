@@ -19,26 +19,6 @@ import (
 // pinned-edge simulator too, while remaining valid for DSN-V where the
 // same classes ride virtual channels over shared wires.
 
-// addCandidateHops records one route given as per-hop candidate channel
-// sets: the dependency cross product between consecutive hops is added,
-// which is the conservative CDG for an adaptive router that may hold any
-// candidate of hop i-1 while requesting any candidate of hop i.
-func addCandidateHops(cdg *routing.CDG, hops [][]routing.ChannelHop) {
-	for i, opts := range hops {
-		if i == 0 {
-			for _, h := range opts {
-				cdg.AddChannel(h)
-			}
-			continue
-		}
-		for _, a := range hops[i-1] {
-			for _, b := range opts {
-				cdg.AddDependency(a, b)
-			}
-		}
-	}
-}
-
 // UpDownChannels builds the CDG of deterministic up*/down* routing with
 // packets spread across vcs virtual channels of each hop (vcs = 1 yields
 // the pure escape network of the Duato-style adaptive router). Pairs
@@ -47,39 +27,120 @@ func addCandidateHops(cdg *routing.CDG, hops [][]routing.ChannelHop) {
 // pairs outside the root's component with no up*/down*-legal path
 // (those degrade to timeout-drops in the simulator). An unroutable pair
 // inside the root component is still an error.
+//
+// A packet may hold any VC of one hop while requesting any VC of the
+// next, so the CDG is the one-class graph of the routes lifted to vcs
+// classes (routing.CDG.Lift): it is built once, at class 0, and is
+// read-only.
 func UpDownChannels(g *graph.Graph, ud *routing.UpDown, vcs int) (*routing.CDG, error) {
-	if vcs < 1 {
-		return nil, fmt.Errorf("verify: up*/down* needs >= 1 VC, got %d", vcs)
+	cdg, _, err := UpDownEscape(g, ud, vcs)
+	return cdg, err
+}
+
+// UpDownEscape walks an up*/down* table once and returns both halves of
+// its escape certificate: the CDG at vcs channel classes and its error,
+// as UpDownChannels returns them, and the totality check
+// (CheckUpDownTotality).
+func UpDownEscape(g *graph.Graph, ud *routing.UpDown, vcs int) (*routing.CDG, CheckResult, error) {
+	w, err := walkEscape(g, ud, vcs)
+	if err != nil {
+		return nil, CheckResult{}, err
 	}
-	cdg := routing.NewCDG()
+	return w.cdg, w.check(), nil
+}
+
+// walkEscape walks ud and lifts its CDG to vcs classes; the error is
+// UpDownChannels'.
+func walkEscape(g *graph.Graph, ud *routing.UpDown, vcs int) (*updownWalk, error) {
+	if vcs < 1 || vcs > 256 {
+		return nil, fmt.Errorf("verify: up*/down* needs 1 to 256 VCs, got %d", vcs)
+	}
+	w := walkUpDown(g, ud)
+	if w.err != nil {
+		return nil, w.err
+	}
+	w.cdg.Lift(vcs)
+	return w, nil
+}
+
+// updownWalk is one pass over an up*/down* table: every pair's route,
+// followed through the next-hop entries, gives the one-class CDG, the
+// totality verdict and the connected component of every switch.
+type updownWalk struct {
+	cdg  *routing.CDG // routes at class 0
+	comp []int32      // component label per switch (graph.Components)
+	// err is UpDownChannels' error: a pair inside the root's component
+	// the table cannot route. The walk stops there.
+	err error
+	// totality is UpDownTotality's verdict: its first violation, or nil.
+	totality error
+}
+
+// check is the walk's totality verdict as a report check.
+func (w *updownWalk) check() CheckResult { return check("totality:updown", w.totality) }
+
+// walkUpDown routes every ordered pair of g through ud's next hops
+// (routing.UpDown.AppendPath), reusing one path and one hop buffer. A
+// pair whose route fails adds nothing to the CDG: the simulator drops
+// its packets.
+func walkUpDown(g *graph.Graph, ud *routing.UpDown) *updownWalk {
 	n := g.N()
-	rootDist := g.BFS(ud.Root)
-	var hops [][]routing.ChannelHop
-	for s := 0; s < n; s++ {
-		dist := g.BFS(s)
-		for t := 0; t < n; t++ {
-			if s == t || dist[t] == graph.Unreachable {
-				continue
-			}
-			path, err := ud.Path(s, t)
-			if err != nil {
-				if rootDist[s] != graph.Unreachable && rootDist[t] != graph.Unreachable {
-					return nil, fmt.Errorf("verify: up*/down* %d->%d: %w", s, t, err)
-				}
-				continue
-			}
-			hops = hops[:0]
-			for i := 0; i+1 < len(path); i++ {
-				opts := make([]routing.ChannelHop, vcs)
-				for vc := 0; vc < vcs; vc++ {
-					opts[vc] = routing.ChannelHop{From: int32(path[i]), To: int32(path[i+1]), Class: uint8(vc)}
-				}
-				hops = append(hops, opts)
-			}
-			addCandidateHops(cdg, hops)
+	comp, _ := g.Components()
+	w := &updownWalk{cdg: routing.NewCDG(), comp: comp}
+	violate := func(err error) {
+		if w.totality == nil {
+			w.totality = err
 		}
 	}
-	return cdg, nil
+	// A shortest legal route visits no switch twice.
+	path, hops := make([]int, 0, n), make([]routing.ChannelHop, 0, n)
+	var err error
+	for s := 0; s < n; s++ {
+		for t := 0; t < n; t++ {
+			if s == t {
+				continue
+			}
+			if comp[s] != comp[t] {
+				if next, _ := ud.NextHop(s, t, false); next >= 0 {
+					violate(fmt.Errorf("verify: up*/down* offers hop %d for disconnected pair %d->%d", next, s, t))
+				}
+				continue
+			}
+			if path, err = ud.AppendPath(path[:0], s, t); err != nil {
+				if comp[s] == comp[ud.Root] {
+					violate(fmt.Errorf("verify: up*/down* %d->%d unrouted inside the root component: %w", s, t, err))
+					w.err = fmt.Errorf("verify: up*/down* %d->%d: %w", s, t, err)
+					return w
+				}
+				// Legally unroutable off-root pair: must refuse cleanly.
+				if next, _ := ud.NextHop(s, t, false); next >= 0 {
+					violate(fmt.Errorf("verify: up*/down* %d->%d has no path yet offers hop %d", s, t, next))
+				}
+				continue
+			}
+			if path[0] != s || path[len(path)-1] != t {
+				violate(fmt.Errorf("verify: up*/down* %d->%d endpoints %v", s, t, path))
+			}
+			hops = hops[:0]
+			descended := false
+			for i := 0; i+1 < len(path); i++ {
+				u, v := path[i], path[i+1]
+				if u == v {
+					violate(fmt.Errorf("verify: up*/down* %d->%d self-loop at %d", s, t, u))
+				} else if !g.HasEdge(u, v) {
+					violate(fmt.Errorf("verify: up*/down* %d->%d hop %d->%d rides no edge", s, t, u, v))
+				}
+				down := !ud.IsUp(u, v)
+				if descended && !down {
+					violate(fmt.Errorf("verify: up*/down* %d->%d goes up after down at hop %d", s, t, i))
+				}
+				descended = descended || down
+				hops = append(hops, routing.ChannelHop{From: int32(u), To: int32(v)})
+			}
+			w.cdg.AddRoute(hops)
+		}
+	}
+	return w
 }
 
 // DSNClassChannels builds the CDG of the DSN custom routing at the

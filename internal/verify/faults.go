@@ -27,9 +27,9 @@ func CertifyDegradedUpDown(g *graph.Graph, edgeDead, swDead []bool, vcs int) Cer
 		Doc:      "escape network re-certified on the surviving subgraph",
 	}
 	alive, ud := routing.Surviving(g, edgeDead, swDead)
-	cdg, err := UpDownChannels(alive, ud, vcs)
+	cdg, totality, err := UpDownEscape(alive, ud, vcs)
 	if err == nil {
-		cert.Checks = append(cert.Checks, CheckUpDownTotality(alive, ud))
+		cert.Checks = append(cert.Checks, totality)
 	}
 	finish(&cert, cdg, err)
 	return cert

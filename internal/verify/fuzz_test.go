@@ -25,13 +25,13 @@ func FuzzUpDownTotality(f *testing.F) {
 		}
 		// Degrade: kill edge e when bit e%64 of the mask is set, keeping
 		// at least one edge so the build has something to rank.
-		alive := g.Subgraph(func(e int) bool { return killMask>>(e%64)&1 == 0 })
+		edgeDead := make([]bool, g.M())
+		for e := range edgeDead {
+			edgeDead[e] = killMask>>(e%64)&1 == 1
+		}
+		alive, ud := routing.Surviving(g, edgeDead, nil)
 		if alive.M() == 0 {
 			t.Skip()
-		}
-		ud, err := routing.NewUpDownPartial(alive, 0)
-		if err != nil {
-			t.Fatalf("n=%d x=%d y=%d seed=%d mask=%x: partial build failed: %v", n, x, y, seed, killMask, err)
 		}
 		if err := UpDownTotality(alive, ud); err != nil {
 			t.Fatalf("totality fired: %v", err)

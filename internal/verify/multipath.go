@@ -78,47 +78,38 @@ func CertifyDegradedMultipath(g *graph.Graph, tab *multipath.Table, edgeDead, sw
 		Doc:      "escape re-certified on survivors; sprayed paths masked to live ones",
 	}
 	alive, ud := routing.Surviving(g, edgeDead, swDead)
-	cdg, err := UpDownChannels(alive, ud, vcs)
-	if err == nil {
-		live, diverted, unreachable := 0, 0, 0
-		dist := make(map[int][]int32)
-		for s := 0; s < tab.N; s++ {
-			if swAt(swDead, s) {
+	w, err := walkEscape(alive, ud, vcs)
+	if err != nil {
+		finish(&cert, nil, err)
+		return cert
+	}
+	live, diverted, unreachable := 0, 0, 0
+	for s := 0; s < tab.N; s++ {
+		if swAt(swDead, s) {
+			continue
+		}
+		for d := 0; d < tab.N; d++ {
+			if s == d || swAt(swDead, d) {
 				continue
 			}
-			for d := 0; d < tab.N; d++ {
-				if s == d || swAt(swDead, d) {
-					continue
-				}
-				switch {
-				case tab.Set(s, d).LiveMask(g, edgeDead, swDead) != 0:
-					live++
-				case reachable(alive, dist, s, d):
-					diverted++ // all sprayed paths dead: rides the escape
-				default:
-					unreachable++ // cut off: the transport timeout drains it
-				}
+			switch {
+			case tab.Set(s, d).LiveMask(g, edgeDead, swDead) != 0:
+				live++
+			case w.comp[s] == w.comp[d]:
+				diverted++ // all sprayed paths dead: rides the escape
+			default:
+				unreachable++ // cut off: the transport timeout drains it
 			}
 		}
-		cert.Checks = append(cert.Checks,
-			CheckUpDownTotality(alive, ud),
-			CheckResult{
-				Name: "faulted:multipath-live",
-				OK:   true, // diversion and disconnection are legal under faults
-				Detail: fmt.Sprintf("%d pairs keep a sprayed path, %d diverted to escape, %d disconnected",
-					live, diverted, unreachable),
-			})
 	}
-	finish(&cert, cdg, err)
+	cert.Checks = append(cert.Checks,
+		w.check(),
+		CheckResult{
+			Name: "faulted:multipath-live",
+			OK:   true, // diversion and disconnection are legal under faults
+			Detail: fmt.Sprintf("%d pairs keep a sprayed path, %d diverted to escape, %d disconnected",
+				live, diverted, unreachable),
+		})
+	finish(&cert, w.cdg, nil)
 	return cert
-}
-
-// reachable memoizes per-source BFS distances over the surviving graph.
-func reachable(alive *graph.Graph, dist map[int][]int32, s, d int) bool {
-	ds, ok := dist[s]
-	if !ok {
-		ds = alive.BFS(s)
-		dist[s] = ds
-	}
-	return ds[d] != graph.Unreachable
 }

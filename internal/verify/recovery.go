@@ -29,9 +29,9 @@ func CertifyRecoveryEscape(g *graph.Graph, edgeDead, swDead []bool, vcs int) Cer
 		return cert
 	}
 	alive, ud := routing.Surviving(g, edgeDead, swDead)
-	cdg, err := UpDownChannels(alive, ud, 1)
+	cdg, totality, err := UpDownEscape(alive, ud, 1)
 	if err == nil {
-		cert.Checks = append(cert.Checks, CheckUpDownTotality(alive, ud))
+		cert.Checks = append(cert.Checks, totality)
 	}
 	finish(&cert, cdg, err)
 	return cert

@@ -25,54 +25,11 @@ func check(name string, err error) CheckResult {
 // fault-degraded builds) are ranked by ID, which can leave a connected
 // pair with no up*/down*-legal path; such pairs may refuse, but the
 // refusal must be consistent: no next hop offered anywhere it cannot
-// route. Disconnected pairs must always refuse.
+// route. Disconnected pairs must always refuse. It is the totality half
+// of the table walk UpDownChannels builds its CDG from (UpDownEscape
+// returns both).
 func UpDownTotality(g *graph.Graph, ud *routing.UpDown) error {
-	n := g.N()
-	rootDist := g.BFS(ud.Root)
-	for s := 0; s < n; s++ {
-		dist := g.BFS(s)
-		for t := 0; t < n; t++ {
-			if s == t {
-				continue
-			}
-			if dist[t] == graph.Unreachable {
-				if next, _ := ud.NextHop(s, t, false); next >= 0 {
-					return fmt.Errorf("verify: up*/down* offers hop %d for disconnected pair %d->%d", next, s, t)
-				}
-				continue
-			}
-			path, err := ud.Path(s, t)
-			if err != nil {
-				if rootDist[s] != graph.Unreachable && rootDist[t] != graph.Unreachable {
-					return fmt.Errorf("verify: up*/down* %d->%d unrouted inside the root component: %w", s, t, err)
-				}
-				// Legally unroutable off-root pair: must refuse cleanly.
-				if next, _ := ud.NextHop(s, t, false); next >= 0 {
-					return fmt.Errorf("verify: up*/down* %d->%d has no path yet offers hop %d", s, t, next)
-				}
-				continue
-			}
-			if path[0] != s || path[len(path)-1] != t {
-				return fmt.Errorf("verify: up*/down* %d->%d endpoints %v", s, t, path)
-			}
-			descended := false
-			for i := 0; i+1 < len(path); i++ {
-				u, v := path[i], path[i+1]
-				if u == v {
-					return fmt.Errorf("verify: up*/down* %d->%d self-loop at %d", s, t, u)
-				}
-				if !g.HasEdge(u, v) {
-					return fmt.Errorf("verify: up*/down* %d->%d hop %d->%d rides no edge", s, t, u, v)
-				}
-				down := !ud.IsUp(u, v)
-				if descended && !down {
-					return fmt.Errorf("verify: up*/down* %d->%d goes up after down at hop %d", s, t, i)
-				}
-				descended = descended || down
-			}
-		}
-	}
-	return nil
+	return walkUpDown(g, ud).totality
 }
 
 // CheckUpDownTotality is UpDownTotality as a report check.

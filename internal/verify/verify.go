@@ -16,8 +16,10 @@
 // netsim.Router itself (walk.go), so a certificate describes the code
 // that runs; for Duato-style routers the walk keeps the escape layer
 // only. The paper's Section V.A channel classes are certified over
-// core.Route (Theorem 3). Bare up*/down* tables are enumerated at a VC
-// width (UpDownChannels) for the escape networks below.
+// core.Route (Theorem 3). Bare up*/down* tables, the escape networks
+// below, are walked once per certificate (UpDownEscape): the walk
+// records their CDG at one channel class and lifts it to a VC width
+// (routing.CDG.Lift), and checks totality on the same routes.
 //
 // The engine also re-certifies fault-degraded fabrics after each
 // FaultPlan event (faults.go): the DSN custom router is walked after its
