@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -66,27 +67,39 @@ func (r *countingRouter) forget(heads map[headKey]bool) {
 }
 
 // checkHotPath recounts the queues and audits the memo pool after a
-// cycle: the occupancy counts match, every live memo sits on a non-empty
-// queue, no memo is both live and free or live twice, and every memo of
-// the current epoch equals a fresh routing of its head.
+// cycle: the routable-head counts and the pipe calendar match the
+// queues, every live memo sits on a non-empty queue, no memo is both
+// live and free or live twice, every memo of the current epoch equals a
+// fresh routing of its head, no empty queue is parked, and the host set
+// holds exactly the hosts with a queued packet.
 func checkHotPath(t *testing.T, s *vct, rt *countingRouter) map[headKey]bool {
 	t.Helper()
 	vcs := int32(s.cfg.VCs)
-	swOcc := make([]int32, s.nSw)
+	swRoutable := make([]int32, s.nSw)
 	heads := map[headKey]bool{}
 	owner := map[int32]bool{}
+	piped := checkPipe(t, s)
 	for c := int32(0); c < int32(s.nChan); c++ {
 		sw := int(s.chanDst[c])
-		var chanOcc int32
+		var chanRoutable int32
 		for vc := int32(0); vc < vcs; vc++ {
-			q := &s.vcq[c*vcs+vc]
+			vcIdx := c*vcs + vc
+			q := &s.vcq[vcIdx]
+			routable := !q.empty() && q.front().routableAt <= s.now
+			if q.routable != routable || piped[vcIdx] != (!q.empty() && !routable) {
+				t.Fatalf("cycle %d: queue (%d,%d) marked routable %v and piped %v, recount %v (%d queued)",
+					s.now, c, vc, q.routable, piped[vcIdx], routable, len(q.entries)-int(q.head))
+			}
+			if routable {
+				chanRoutable++
+			}
 			if q.empty() {
-				if q.memo != 0 {
-					t.Fatalf("cycle %d: empty queue (%d,%d) holds memo %d", s.now, c, vc, q.memo-1)
+				if q.memo != 0 || s.park.wake[vcIdx] != 0 {
+					t.Fatalf("cycle %d: empty queue (%d,%d) holds memo %d, parked until %d",
+						s.now, c, vc, q.memo-1, s.park.wake[vcIdx])
 				}
 				continue
 			}
-			chanOcc++
 			p := q.front().pkt
 			heads[headKey{p.st.PktID, p.st.Step, sw}] = true
 			if q.memo == 0 {
@@ -121,14 +134,15 @@ func checkHotPath(t *testing.T, s *vct, rt *countingRouter) map[headKey]bool {
 					s.now, p.st.PktID, sw, m.cands, m.chans, fresh, chans)
 			}
 		}
-		if chanOcc != s.chanOcc[c] {
-			t.Fatalf("cycle %d: channel %d occupancy %d, recount %d", s.now, c, s.chanOcc[c], chanOcc)
+		if chanRoutable != s.chanRoutable[c] {
+			t.Fatalf("cycle %d: channel %d routable heads %d, recount %d", s.now, c, s.chanRoutable[c], chanRoutable)
 		}
-		swOcc[sw] += chanOcc
+		swRoutable[sw] += chanRoutable
 	}
-	if !slices.Equal(swOcc, s.swOcc) {
-		t.Fatalf("cycle %d: switch occupancy %v, recount %v", s.now, s.swOcc, swOcc)
+	if !slices.Equal(swRoutable, s.swRoutable) {
+		t.Fatalf("cycle %d: switch routable heads %v, recount %v", s.now, s.swRoutable, swRoutable)
 	}
+	checkHostSet(t, &s.Sim, func(h int) bool { return len(s.hostQ[h]) > 0 })
 	for _, i := range s.freeMemos {
 		if owner[i+1] {
 			t.Fatalf("cycle %d: memo %d both live and free", s.now, i)
@@ -138,6 +152,141 @@ func checkHotPath(t *testing.T, s *vct, rt *countingRouter) map[headKey]bool {
 		t.Fatalf("cycle %d: %d live + %d free memos != pool of %d", s.now, len(owner), len(s.freeMemos), len(s.memos))
 	}
 	return heads
+}
+
+// checkPipe walks the pipe calendar and returns the queues it holds. A
+// queue sits in at most one slot, the one of its head's routableAt, and
+// a queue outside the calendar has no link.
+func checkPipe(t *testing.T, s *vct) map[int32]bool {
+	t.Helper()
+	piped := map[int32]bool{}
+	for slot, i := range s.pipe {
+		for ; i != 0; i = s.vcq[i-1].next {
+			q := &s.vcq[i-1]
+			if piped[i-1] || q.empty() || q.front().routableAt%int64(len(s.pipe)) != int64(slot) {
+				t.Fatalf("cycle %d: queue %d misfiled in pipe slot %d", s.now, i-1, slot)
+			}
+			piped[i-1] = true
+		}
+	}
+	for i := range s.vcq {
+		if q := &s.vcq[i]; !piped[int32(i)] && q.next != 0 {
+			t.Fatalf("cycle %d: queue %d outside the pipe links to %d", s.now, i, q.next-1)
+		}
+	}
+	return piped
+}
+
+// checkHostSet checks that the hosts driveHosts visits are exactly the
+// hosts with work.
+func checkHostSet(t *testing.T, s *Sim, work func(h int) bool) {
+	t.Helper()
+	for h := 0; h < s.hosts; h++ {
+		if in := s.hostWork[h>>6]&(1<<(h&63)) != 0; in != work(h) {
+			t.Fatalf("cycle %d: host %d in the host set %v, has work %v", s.now, h, in, work(h))
+		}
+	}
+}
+
+// parkProbe is the VCT flow control with checks around every
+// allocation pass: checkParked before it, checkBlockedParked after it.
+type parkProbe struct {
+	*vct
+	t      *testing.T
+	heads  []*packet
+	parked *parkCounts
+}
+
+func (p parkProbe) allocate() {
+	checkParked(p.t, p.vct, p.parked)
+	for i := range p.vcq {
+		p.heads[i] = nil
+		if q := &p.vcq[i]; !q.empty() {
+			p.heads[i] = q.front().pkt
+		}
+	}
+	p.vct.allocate()
+	checkBlockedParked(p.t, p.vct, p.heads)
+}
+
+// parkCounts tallies the parked heads checkParked probed, by what they
+// wait for.
+type parkCounts struct{ eject, timed, credits int }
+
+// checkParked probes every parked head right before an allocation pass
+// with launch's side-effect-free availability test: none may be
+// grantable. A grant pass only takes outputs and credits away, so a
+// head that cannot be granted now cannot be granted at its visit
+// either. A parked head that is not ejecting holds a route memo of the
+// current epoch with no channel resolved per attempt.
+func checkParked(t *testing.T, s *vct, n *parkCounts) {
+	t.Helper()
+	vcs := int32(s.cfg.VCs)
+	for vcIdx := range s.vcq {
+		q := &s.vcq[vcIdx]
+		wake := s.park.wake[vcIdx]
+		if wake <= s.now {
+			continue
+		}
+		c := int32(vcIdx) / vcs
+		sw := int(s.chanDst[c])
+		p := q.front().pkt
+		if !q.routable {
+			t.Fatalf("cycle %d: head of (%d,%d) parked inside the pipeline", s.now, c, int32(vcIdx)%vcs)
+		}
+		if p.st.DstSw == int32(sw) {
+			if s.ejBusy[p.dstHost] <= s.now {
+				t.Fatalf("cycle %d: packet %d parked until %d, but host %d can eject", s.now, p.st.PktID, wake, p.dstHost)
+			}
+			n.eject++
+			continue
+		}
+		if q.memo == 0 || s.memos[q.memo-1].epoch != s.routeEpoch {
+			t.Fatalf("cycle %d: packet %d parked without a route memo of epoch %d", s.now, p.st.PktID, s.routeEpoch)
+		}
+		m := &s.memos[q.memo-1]
+		if slices.Contains(m.chans, chanPerAttempt) {
+			t.Fatalf("cycle %d: packet %d parked with a channel resolved per attempt", s.now, p.st.PktID)
+		}
+		if i, oc, _ := s.pick(sw, p, m.cands, m.chans); i >= 0 {
+			t.Fatalf("cycle %d: packet %d parked until %d at switch %d, but %v on channel %d is free",
+				s.now, p.st.PktID, wake, sw, m.cands[i], oc)
+		}
+		if wake == math.MaxInt64 {
+			n.credits++
+		} else {
+			n.timed++
+		}
+	}
+}
+
+// checkBlockedParked checks after an allocation pass that every head
+// the pass tried and could not grant is parked, unless its route memo
+// resolves a channel per attempt. Such a head was the head before the
+// pass (heads) and still is, sits on a live switch, and its input port
+// is still free: no VC of its channel was granted, so the pass visited
+// every routable head there.
+func checkBlockedParked(t *testing.T, s *vct, heads []*packet) {
+	t.Helper()
+	vcs := int32(s.cfg.VCs)
+	for vcIdx := range s.vcq {
+		q := &s.vcq[vcIdx]
+		if !q.routable || q.front().pkt != heads[vcIdx] || s.park.wake[vcIdx] > s.now {
+			continue
+		}
+		c := int32(vcIdx) / vcs
+		sw := s.chanDst[c]
+		if s.inBusy[c] > s.now || (s.faultActive && s.swDead[sw]) {
+			continue
+		}
+		p := q.front().pkt
+		if p.st.DstSw != sw && q.memo != 0 {
+			if m := &s.memos[q.memo-1]; m.epoch == s.routeEpoch && slices.Contains(m.chans, chanPerAttempt) {
+				continue
+			}
+		}
+		t.Fatalf("cycle %d: packet %d failed its grant at switch %d but is not parked", s.now, p.st.PktID, sw)
+	}
 }
 
 // hotPathFixture is the set-up the bookkeeping audits share: the basic
@@ -169,11 +318,16 @@ func hotPathFixture(t *testing.T) (basic, dsnV *core.DSN, plan *FaultPlan, live,
 }
 
 // TestHotPathBookkeeping steps VCT runs cycle by cycle through switch
-// death and repair, a link burst, recovery aborts and a drain epoch,
-// auditing the occupancy counts, the memo pool and route reuse after
-// every cycle.
+// death and repair, a link burst, recovery aborts and drain epochs,
+// auditing the routable-head counts, the pipe calendar, the host set,
+// the memo pool and route reuse after every cycle, and probing every
+// parked head before every allocation pass.
 func TestHotPathBookkeeping(t *testing.T) {
 	basic, dsnV, plan, rc, drain := hotPathFixture(t)
+	dsnE, err := core.NewE(36)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for _, tc := range []struct {
 		name  string
@@ -186,6 +340,9 @@ func TestHotPathBookkeeping(t *testing.T) {
 		// blocked across the live table swaps and recovery aborts.
 		{"live", basic, func() (FaultAware, error) { return NewDSNSourceRoutedUnsafe(basic) }, 0.2, rc},
 		{"drain", dsnV, func() (FaultAware, error) { return NewDuatoUpDown(dsnV.Graph(), Default().VCs) }, 0.04, drain},
+		// DSN-E's source routes pin its parallel links, so while a drain
+		// defers the table swap, heads keep routes over dead channels.
+		{"drain-pinned", dsnE, func() (FaultAware, error) { return NewDSNSourceRouted(dsnE) }, 0.03, drain},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			inner, err := tc.inner()
@@ -202,6 +359,8 @@ func TestHotPathBookkeeping(t *testing.T) {
 			}
 			rt.sim = s
 			v := s.fc.(*vct)
+			var parked parkCounts
+			s.fc = parkProbe{v, t, make([]*packet, len(v.vcq)), &parked}
 			if err := s.SetFaultPlan(plan); err != nil {
 				t.Fatal(err)
 			}
@@ -231,10 +390,16 @@ func TestHotPathBookkeeping(t *testing.T) {
 				}
 			}
 			v.finalRecovery()
+			// Run ends before cycle end's allocation pass, which would
+			// count the heads clearing the pipeline at end.
+			v.activate()
 			checkHotPath(t, v, rt)
 			res := s.result()
 			if len(v.memos) == 0 {
 				t.Fatal("no head ever blocked; the memo path went unexercised")
+			}
+			if parked.eject == 0 || parked.timed == 0 || parked.credits == 0 {
+				t.Fatalf("parked heads probed: %+v; a kind of parking went unexercised", parked)
 			}
 			switch tc.name {
 			case "live":
@@ -242,13 +407,13 @@ func TestHotPathBookkeeping(t *testing.T) {
 					t.Fatalf("UpdateFaults %d times, %d heads rerouted after it, %d flits aborted",
 						rt.updates, rt.recalls, res.AbortedFlits)
 				}
-			case "drain":
+			case "drain", "drain-pinned":
 				if swaps == 0 || rt.updates == 0 {
 					t.Fatalf("%d drain swaps, UpdateFaults %d times", swaps, rt.updates)
 				}
 			}
-			t.Logf("memo pool %d, UpdateFaults %d, reroutes after it %d, drain swaps %d, aborted flits %d",
-				len(v.memos), rt.updates, rt.recalls, swaps, res.AbortedFlits)
+			t.Logf("memo pool %d, UpdateFaults %d, reroutes after it %d, drain swaps %d, aborted flits %d, parked heads probed %+v",
+				len(v.memos), rt.updates, rt.recalls, swaps, res.AbortedFlits, parked)
 		})
 	}
 }
@@ -256,7 +421,7 @@ func TestHotPathBookkeeping(t *testing.T) {
 // checkWormCounts recounts the wormhole slots after a cycle: per channel
 // and per switch, the claimed slots whose header is not routed yet and
 // the routed slots holding flits; per channel, the claimed slots and
-// the claimed-channel set.
+// the claimed-channel set; and the host set.
 func checkWormCounts(t *testing.T, s *worm) {
 	t.Helper()
 	vcs := int32(s.cfg.VCs)
@@ -292,6 +457,7 @@ func checkWormCounts(t *testing.T, s *worm) {
 	if !slices.Equal(swWait, s.swWait) || !slices.Equal(swMove, s.swMove) {
 		t.Fatalf("cycle %d: switch waiting %v movable %v, recount %v %v", s.now, s.swWait, s.swMove, swWait, swMove)
 	}
+	checkHostSet(t, &s.Sim, func(h int) bool { return len(s.hostQ[h]) > 0 || s.hostCur[h] != nil })
 }
 
 // TestWormHotPathBookkeeping steps wormhole runs cycle by cycle through

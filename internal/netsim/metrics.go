@@ -2,7 +2,7 @@ package netsim
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"dsnet/internal/recovery"
 )
@@ -132,14 +132,14 @@ func (s *Sim) result() Result {
 	if s.delMeasured > 0 {
 		r.AvgLatencyNS = float64(s.latencySum) / float64(s.delMeasured) * cyc
 		r.AvgHops = float64(s.hopsSum) / float64(s.delMeasured)
-		sorted := append([]int64(nil), s.latencies...)
-		sortInt64s(sorted)
+		sorted := slices.Clone(s.latencies)
+		slices.Sort(sorted)
 		r.P99LatencyNS = float64(sorted[percentileIdx(len(sorted), 0.99)]) * cyc
 		r.MaxLatencyNS = float64(sorted[len(sorted)-1]) * cyc
 	}
 	if len(s.postFaultLats) > 0 {
-		sorted := append([]int64(nil), s.postFaultLats...)
-		sortInt64s(sorted)
+		sorted := slices.Clone(s.postFaultLats)
+		slices.Sort(sorted)
 		r.PostFaultP50NS = float64(sorted[percentileIdx(len(sorted), 0.50)]) * cyc
 		r.PostFaultP99NS = float64(sorted[percentileIdx(len(sorted), 0.99)]) * cyc
 	}
@@ -168,10 +168,6 @@ func percentileIdx(n int, q float64) int {
 		i = n - 1
 	}
 	return i
-}
-
-func sortInt64s(xs []int64) {
-	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
 }
 
 // String renders a compact one-line summary.

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand/v2"
 
 	"dsnet/internal/graph"
@@ -167,6 +168,16 @@ type Sim struct {
 	chanFlits []int64 // flits forwarded per channel in the window
 
 	hostQ [][]*packet // per-host unbounded injection queues
+	// hostWork is the set of hosts driveHosts visits, one bit per host: a
+	// host with a queued packet, or under wormhole a worm still streaming
+	// in. queueHost, the only way onto a host queue, adds the host; the
+	// engines remove it when it runs out of work.
+	hostWork []uint64
+
+	// park is the VCT allocator's parking state (DESIGN.md §8). It lives
+	// in the fabric because returning credits, which wake parked heads,
+	// land in processEvents. Empty under wormhole.
+	park parking
 
 	// wheel is sized at Run start (start); linkDelay holds the
 	// per-channel wire delay in cycles (indexable by directed channel):
@@ -178,7 +189,8 @@ type Sim struct {
 
 	// routeEpoch advances whenever routing answers may change: at every
 	// fault epoch (death masks, router tables and the recovery escape)
-	// and at the deferred table swap that closes a drain epoch.
+	// and at the deferred table swap that closes a drain epoch
+	// (newRouteEpoch).
 	routeEpoch uint64
 
 	// Fault-injection state. The death masks are always allocated (all
@@ -337,6 +349,7 @@ func newSim(cfg Config, g *graph.Graph, rt Router, p traffic.Pattern, rate float
 	s.ejBusy = make([]int64, hosts)
 	s.chanFlits = make([]int64, nChan)
 	s.hostQ = make([][]*packet, hosts)
+	s.hostWork = make([]uint64, (hosts+63)/64)
 	s.edgeDead = make([]bool, g.M())
 	s.swDead = make([]bool, nSw)
 	s.chanDead = make([]bool, nChan)
@@ -607,6 +620,9 @@ func (s *Sim) processEvents() {
 			s.fc.arrive(ev)
 		case evCredit:
 			s.credits[ev.vcIdx] += ev.amt
+			if int(ev.vcIdx) < s.park.sets {
+				s.wakeCreditWaiters(ev.vcIdx)
+			}
 		case evDeliver:
 			s.deliver(ev.pkt, s.now)
 		case evRetry:
@@ -714,7 +730,7 @@ func (s *Sim) reinject(p *packet) {
 	p.st.Step = 0
 	p.st.RtState = 0
 	p.blockSince = -1
-	s.hostQ[p.srcHost] = append(s.hostQ[p.srcHost], p)
+	s.queueHost(p.srcHost, p)
 	s.lastProgress = s.now
 	if s.tracing(p) {
 		s.trace(p, "REINJECT", "src", p.srcHost, "attempt", p.attempts)
@@ -778,13 +794,80 @@ func (s *Sim) newPacket(src, dst, msg int32, measured bool) *packet {
 	s.nextID++
 	p.st.SrcSw = src / int32(s.cfg.HostsPerSwitch)
 	p.st.DstSw = dst / int32(s.cfg.HostsPerSwitch)
-	s.hostQ[src] = append(s.hostQ[src], p)
+	s.queueHost(src, p)
 	s.generatedTotal++
 	if measured {
 		s.genMeasured++
 	}
 	s.inFlight++
 	return p
+}
+
+// queueHost appends p to host h's injection queue and adds h to the
+// hosts driveHosts visits. Every host-queue append goes through here.
+func (s *Sim) queueHost(h int32, p *packet) {
+	s.hostQ[h] = append(s.hostQ[h], p)
+	s.hostWork[h>>6] |= 1 << (h & 63)
+}
+
+// hostIdle removes host h from the hosts driveHosts visits.
+func (s *Sim) hostIdle(h int32) {
+	s.hostWork[h>>6] &^= 1 << (h & 63)
+}
+
+// nextBit returns the first member of the bitset set at or after i, or
+// -1.
+func nextBit(set []uint64, i int32) int32 {
+	w := int(i >> 6)
+	if w >= len(set) {
+		return -1
+	}
+	word := set[w] &^ (1<<(i&63) - 1)
+	for word == 0 {
+		if w++; w == len(set) {
+			return -1
+		}
+		word = set[w]
+	}
+	return int32(w<<6 + bits.TrailingZeros64(word))
+}
+
+// parking is the VCT allocator's record of blocked heads whose grant
+// cannot succeed before something they wait on changes (DESIGN.md §8).
+// wake[vcIdx] is the first cycle the head of input VC vcIdx may be
+// granted again; 0 means it is not parked. A head parked for credits on
+// inter-switch (channel, VC) ci holds a bit in waiters[ci*words:][:words]:
+// bit pos[c]*VCs+vc for input VC (c, vc) of the channel's sending
+// switch, where pos[c] is c's place in inChans. sets is the number of
+// such (channel, VC) pairs, 0 under wormhole.
+type parking struct {
+	wake    []int64
+	waiters []uint64
+	pos     []int32
+	words   int
+	sets    int
+}
+
+// wakeCreditWaiters wakes the heads parked for credits on inter-switch
+// (channel, VC) ci, which just got credits back.
+func (s *Sim) wakeCreditWaiters(ci int32) {
+	vcs := int32(s.cfg.VCs)
+	ins := s.inChans[s.chanDst[(ci/vcs)^1]] // the channel's sending switch
+	w := s.park.waiters[int(ci)*s.park.words:][:s.park.words]
+	for i, word := range w {
+		for ; word != 0; word &= word - 1 {
+			b := int32(i<<6 + bits.TrailingZeros64(word))
+			s.park.wake[ins[b/vcs]*vcs+b%vcs] = 0
+		}
+		w[i] = 0
+	}
+}
+
+// newRouteEpoch advances routeEpoch, waking every parked head: their
+// route memos and the death masks they were parked on are stale.
+func (s *Sim) newRouteEpoch() {
+	s.routeEpoch++
+	clear(s.park.wake)
 }
 
 // applyFaults fires the fault events due this cycle: updates the death
@@ -809,7 +892,7 @@ func (s *Sim) applyFaults() {
 	}
 	// New routing epoch: death masks, router tables and the recovery
 	// escape all change below, so every remembered route goes stale.
-	s.routeEpoch++
+	s.newRouteEpoch()
 	s.rebuildChanDead()
 	s.fc.faultEpoch(s.revived)
 	if fa, ok := s.rt.(FaultAware); ok {
@@ -869,7 +952,7 @@ func (s *Sim) recoverStep() {
 				fa.UpdateFaults(s.edgeDead, s.swDead)
 			}
 		})
-		s.routeEpoch++ // the deferred table swap
+		s.newRouteEpoch() // the deferred table swap
 	}
 }
 
@@ -920,7 +1003,7 @@ func (s *Sim) teardown(p *packet, sw int32, flits int64) {
 	p.st.RtState = 0
 	p.blockSince = -1
 	p.recovering = true
-	s.hostQ[p.srcHost] = append(s.hostQ[p.srcHost], p)
+	s.queueHost(p.srcHost, p)
 	if s.tracing(p) {
 		s.trace(p, "DLKABORT", "switch", sw, "attempt", p.aborts)
 	}

@@ -1,5 +1,7 @@
 package netsim
 
+import "math"
+
 // vct is virtual cut-through flow control (NewSim): buffers hold whole
 // packets, so a packet is granted an output only when the downstream VC
 // has credits for all of it, and ports stay reserved while it streams.
@@ -12,10 +14,15 @@ type vct struct {
 	rrIn []int // per-switch round-robin input pointer
 	rrVC []int // per-channel round-robin VC pointer
 
-	// Occupancy: non-empty VC queues per switch and per input channel,
-	// kept by enqueue/dequeue so allocate visits only where packets are.
-	swOcc   []int32
-	chanOcc []int32
+	// Routable heads (DESIGN.md §8): per switch and per input channel,
+	// the VC queues whose head has cleared the header pipeline, kept by
+	// enqueue, dequeue and activate so that allocate visits only where a
+	// head can act. A head still in the pipeline waits in pipe, a calendar
+	// of PipelineCycles+1 slots indexed by its routableAt; each slot is a
+	// list of queues (vcIdx+1, 0 = none) linked through vcQueue.next.
+	swRoutable   []int32
+	chanRoutable []int32
+	pipe         []int32
 
 	// Route reuse: a head whose grant failed keeps its routing answer in
 	// a pooled memo until it leaves its queue or routeEpoch advances
@@ -29,15 +36,29 @@ type vct struct {
 
 // newVCT attaches VCT flow control to the fabric s.
 func newVCT(s Sim) *vct {
+	vcs := s.cfg.VCs
 	v := &vct{
-		Sim:      s,
-		vcq:      make([]vcQueue, s.nChan*s.cfg.VCs),
-		hostBusy: make([]int64, s.hosts),
-		rrIn:     make([]int, s.nSw),
-		rrVC:     make([]int, s.nChan),
-		swOcc:    make([]int32, s.nSw),
-		chanOcc:  make([]int32, s.nChan),
+		Sim:          s,
+		vcq:          make([]vcQueue, s.nChan*vcs),
+		hostBusy:     make([]int64, s.hosts),
+		rrIn:         make([]int, s.nSw),
+		rrVC:         make([]int, s.nChan),
+		swRoutable:   make([]int32, s.nSw),
+		chanRoutable: make([]int32, s.nChan),
+		pipe:         make([]int32, s.cfg.PipelineCycles+1),
 	}
+	perSwitch := 0 // input VCs of the busiest switch
+	v.park.pos = make([]int32, s.nChan)
+	for _, ins := range s.inChans {
+		for i, c := range ins {
+			v.park.pos[c] = int32(i)
+		}
+		perSwitch = max(perSwitch, len(ins)*vcs)
+	}
+	v.park.sets = 2 * s.g.M() * vcs
+	v.park.words = (perSwitch + 63) / 64
+	v.park.wake = make([]int64, s.nChan*vcs)
+	v.park.waiters = make([]uint64, v.park.sets*v.park.words)
 	v.fc = v
 	return v
 }
@@ -50,14 +71,18 @@ type vcEntry struct {
 
 // vcQueue is a FIFO of packets sharing one input VC buffer. memo is the
 // route memo of the blocked head packet (index+1 into vct.memos, 0 =
-// none); see keepRoute.
+// none); see keepRoute. routable marks a head counted in the routable
+// counts; a non-empty queue whose head is not routable yet sits in the
+// pipe calendar, and next links it to the following queue there.
 type vcQueue struct {
-	entries []vcEntry
-	head    int
-	memo    int32
+	entries  []vcEntry
+	head     int32
+	memo     int32
+	next     int32
+	routable bool
 }
 
-func (q *vcQueue) empty() bool { return q.head >= len(q.entries) }
+func (q *vcQueue) empty() bool { return int(q.head) >= len(q.entries) }
 
 func (q *vcQueue) front() *vcEntry { return &q.entries[q.head] }
 
@@ -65,10 +90,10 @@ func (q *vcQueue) push(e vcEntry) { q.entries = append(q.entries, e) }
 
 func (q *vcQueue) pop() {
 	q.head++
-	if q.head >= len(q.entries) {
+	if q.empty() {
 		q.entries = q.entries[:0]
 		q.head = 0
-	} else if q.head > 64 && q.head*2 > len(q.entries) {
+	} else if q.head > 64 && int(q.head)*2 > len(q.entries) {
 		n := copy(q.entries, q.entries[q.head:])
 		q.entries = q.entries[:n]
 		q.head = 0
@@ -100,46 +125,94 @@ func (s *vct) arrive(ev wheelEv) {
 	s.enqueue(ev.vcIdx, vcEntry{pkt: ev.pkt, routableAt: s.now + s.cfg.PipelineCycles})
 }
 
-// enqueue appends a packet to input VC vcIdx, keeping the occupancy
-// counts.
+// enqueue appends a packet to input VC vcIdx; a packet that becomes the
+// head starts its header pipeline.
 func (s *vct) enqueue(vcIdx int32, e vcEntry) {
 	q := &s.vcq[vcIdx]
-	if q.empty() {
-		c := vcIdx / int32(s.cfg.VCs)
-		s.chanOcc[c]++
-		s.swOcc[s.chanDst[c]]++
-	}
+	wasEmpty := q.empty()
 	q.push(e)
+	if wasEmpty {
+		s.newHead(vcIdx)
+	}
 }
 
 // dequeue removes the head of input VC vcIdx, releasing its route memo
-// and keeping the occupancy counts.
+// and its parking and keeping the routable counts.
 func (s *vct) dequeue(vcIdx int32) {
 	q := &s.vcq[vcIdx]
+	if q.routable {
+		s.countRoutable(vcIdx, -1)
+	} else {
+		s.unpipe(vcIdx)
+	}
 	if q.memo != 0 {
 		s.freeMemos = append(s.freeMemos, q.memo-1)
 		q.memo = 0
 	}
+	s.park.wake[vcIdx] = 0
 	q.pop()
-	if q.empty() {
-		c := vcIdx / int32(s.cfg.VCs)
-		s.chanOcc[c]--
-		s.swOcc[s.chanDst[c]]--
+	if !q.empty() {
+		s.newHead(vcIdx)
 	}
+}
+
+// newHead counts the new head of input VC vcIdx as routable, or files
+// it in the pipe calendar until its header clears the pipeline.
+func (s *vct) newHead(vcIdx int32) {
+	q := &s.vcq[vcIdx]
+	at := q.front().routableAt
+	if at <= s.now {
+		s.countRoutable(vcIdx, 1)
+		return
+	}
+	slot := &s.pipe[at%int64(len(s.pipe))]
+	q.next, *slot = *slot, vcIdx+1
+}
+
+// unpipe takes input VC vcIdx, whose head is still in the pipeline, out
+// of the pipe calendar.
+func (s *vct) unpipe(vcIdx int32) {
+	q := &s.vcq[vcIdx]
+	link := &s.pipe[q.front().routableAt%int64(len(s.pipe))]
+	for *link != vcIdx+1 {
+		link = &s.vcq[*link-1].next
+	}
+	*link, q.next = q.next, 0
+}
+
+// activate counts the heads whose header clears the pipeline this cycle.
+func (s *vct) activate() {
+	slot := &s.pipe[s.now%int64(len(s.pipe))]
+	for i := *slot; i != 0; {
+		q := &s.vcq[i-1]
+		s.countRoutable(i-1, 1)
+		i, q.next = q.next, 0
+	}
+	*slot = 0
+}
+
+// countRoutable adds d to the routable counts of input VC vcIdx's
+// channel and switch and marks its head accordingly.
+func (s *vct) countRoutable(vcIdx, d int32) {
+	c := vcIdx / int32(s.cfg.VCs)
+	s.chanRoutable[c] += d
+	s.swRoutable[s.chanDst[c]] += d
+	s.vcq[vcIdx].routable = d > 0
 }
 
 // driveHosts starts streaming the head packet of each host queue into
 // its switch when the NIC is idle and a VC has a packet's worth of
-// credits.
+// credits. It visits the hosts with a queued packet, in host order.
 func (s *vct) driveHosts() {
 	if s.rec != nil && s.rec.draining {
 		return // drain epoch: no new packets enter the network
 	}
-	for h := 0; h < s.hosts; h++ {
+	for hi := nextBit(s.hostWork, 0); hi >= 0; hi = nextBit(s.hostWork, hi+1) {
+		h := int(hi)
 		if s.faultActive && s.swDead[h/s.cfg.HostsPerSwitch] {
 			continue // hosts of a dead switch are offline
 		}
-		if len(s.hostQ[h]) == 0 || s.hostBusy[h] > s.now {
+		if s.hostBusy[h] > s.now {
 			continue
 		}
 		c := int32(2*s.g.M() + h)
@@ -156,6 +229,9 @@ func (s *vct) driveHosts() {
 		}
 		p := s.hostQ[h][0]
 		s.hostQ[h] = s.hostQ[h][1:]
+		if len(s.hostQ[h]) == 0 {
+			s.hostIdle(hi)
+		}
 		s.inNetwork++
 		s.hostBusy[h] = s.now + int64(s.cfg.PacketFlits)
 		s.credits[c*int32(s.cfg.VCs)+int32(bestVC)] -= int32(s.cfg.PacketFlits)
@@ -175,13 +251,14 @@ func (s *vct) driveHosts() {
 // cycle: every input port may launch at most one packet, every output
 // port may accept at most one.
 //
-// Switches and input channels with no queued packet are skipped: a visit
-// there grants nothing, moves no round-robin pointer and has no other
-// side effect, so the skip leaves every cycle exactly as a full scan
-// would.
+// Switches and input channels with no routable head are skipped: a
+// visit there grants nothing, moves no round-robin pointer and has no
+// other side effect, so the skip leaves every cycle exactly as a full
+// scan would.
 func (s *vct) allocate() {
+	s.activate()
 	for sw := 0; sw < s.nSw; sw++ {
-		if s.swOcc[sw] == 0 || (s.faultActive && s.swDead[sw]) {
+		if s.swRoutable[sw] == 0 || (s.faultActive && s.swDead[sw]) {
 			continue
 		}
 		ins := s.inChans[sw]
@@ -195,7 +272,7 @@ func (s *vct) allocate() {
 				if i++; i == n {
 					i = 0
 				}
-				if s.chanOcc[c] == 0 || s.inBusy[c] > s.now {
+				if s.chanRoutable[c] == 0 || s.inBusy[c] > s.now {
 					continue
 				}
 				if s.tryInput(sw, c) {
@@ -208,7 +285,7 @@ func (s *vct) allocate() {
 		}
 		// Tier 2: injection channels take whatever outputs remain.
 		for _, c := range ins[s.thruCount[sw]:] {
-			if s.chanOcc[c] == 0 || s.inBusy[c] > s.now {
+			if s.chanRoutable[c] == 0 || s.inBusy[c] > s.now {
 				continue
 			}
 			s.tryInput(sw, c)
@@ -217,7 +294,9 @@ func (s *vct) allocate() {
 }
 
 // tryInput attempts to grant the head packet of one VC of input channel c
-// at switch sw. Returns true if a packet was launched.
+// at switch sw. Returns true if a packet was launched. A parked head
+// keeps its visit; only its grant attempt, which could not succeed, is
+// skipped.
 func (s *vct) tryInput(sw int, c int32) bool {
 	vcs := s.cfg.VCs
 	startVC := s.rrVC[c] % vcs
@@ -227,13 +306,10 @@ func (s *vct) tryInput(sw int, c int32) bool {
 		}
 		vcIdx := c*int32(vcs) + int32(vc)
 		q := &s.vcq[vcIdx]
-		if q.empty() {
-			continue
+		if !q.routable {
+			continue // empty, or its head is still in the pipeline
 		}
 		e := q.front()
-		if e.routableAt > s.now {
-			continue
-		}
 		if wait := s.now - e.routableAt; wait > s.maxHOLWait {
 			s.maxHOLWait = wait
 		}
@@ -258,7 +334,7 @@ func (s *vct) tryInput(sw int, c int32) bool {
 			s.faultDrop(p, "TIMEOUT")
 			continue
 		}
-		if s.grant(sw, c, int32(vc), e.pkt) {
+		if s.park.wake[vcIdx] <= s.now && s.grant(sw, c, int32(vc), e.pkt) {
 			s.dequeue(vcIdx)
 			s.rrVC[c] = (vc + 1) % vcs
 			return true
@@ -303,13 +379,16 @@ func (s *vct) observeStall(sw int, c, vc int32, e *vcEntry) {
 }
 
 // grant routes packet p (currently at the head of input (c, vc) of switch
-// sw) to an output if one is available. Returns true on success.
+// sw) to an output if one is available. Returns true on success; a head
+// left blocked is parked (parkHead).
 func (s *vct) grant(sw int, c, vc int32, p *packet) bool {
 	pf := int64(s.cfg.PacketFlits)
+	vcIdx := c*int32(s.cfg.VCs) + vc
 	if int32(sw) == p.st.DstSw {
 		// Ejection to the destination host.
 		host := int(p.dstHost)
 		if s.ejBusy[host] > s.now {
+			s.park.wake[vcIdx] = s.ejBusy[host] // until the port frees
 			return false
 		}
 		s.ejBusy[host] = s.now + pf
@@ -330,10 +409,14 @@ func (s *vct) grant(sw int, c, vc int32, p *packet) bool {
 			s.mon.HopTTL, p.st.SrcSw, p.st.DstSw, sw)
 		return false
 	}
-	q := &s.vcq[c*int32(s.cfg.VCs)+vc]
+	q := &s.vcq[vcIdx]
 	if q.memo != 0 {
 		if m := &s.memos[q.memo-1]; m.epoch == s.routeEpoch {
-			return s.launch(sw, c, vc, p, m.cands, m.chans)
+			if s.launch(sw, c, vc, p, m.cands, m.chans) {
+				return true
+			}
+			s.parkHead(vcIdx, p, m)
+			return false
 		}
 	}
 	if p.recovering {
@@ -352,7 +435,47 @@ func (s *vct) grant(sw int, c, vc int32, p *packet) bool {
 		return true
 	}
 	s.keepRoute(q)
+	s.parkHead(vcIdx, p, &s.memos[q.memo-1])
 	return false
+}
+
+// parkHead parks the head p of input VC vcIdx after a failed grant
+// through its current route memo m, until the first cycle a grant could
+// succeed (DESIGN.md §8 has the argument): the earliest busy-until stamp
+// among the considered candidates that have a packet's worth of
+// credits, or the end of the escape patience while it runs. A returning
+// credit on a candidate that lacks them, a routing epoch and the head's
+// dequeue wake it earlier. A head with a candidate whose channel launch
+// resolves on every attempt is not parked.
+func (s *vct) parkHead(vcIdx int32, p *packet, m *routeMemo) {
+	hasAdaptive := false
+	for i, cand := range m.cands {
+		if m.chans[i] == chanPerAttempt {
+			return
+		}
+		hasAdaptive = hasAdaptive || !cand.Escape
+	}
+	wake := int64(math.MaxInt64)
+	patienceUp := true
+	if up := p.blockSince + s.cfg.EscapePatienceCycles; hasAdaptive && up > s.now {
+		patienceUp, wake = false, up
+	}
+	vcs := int32(s.cfg.VCs)
+	pf := int32(s.cfg.PacketFlits)
+	bit := s.park.pos[vcIdx/vcs]*vcs + vcIdx%vcs
+	for i, cand := range m.cands {
+		oc := m.chans[i]
+		if (cand.Escape && !patienceUp) || oc < 0 || (s.faultActive && s.chanDead[oc]) {
+			continue // not considered, or dead until the next routing epoch
+		}
+		ci := oc*vcs + int32(cand.VC)
+		if s.credits[ci] < pf {
+			s.park.waiters[int(ci)*s.park.words+int(bit>>6)] |= 1 << (bit & 63)
+			continue
+		}
+		wake = min(wake, s.outBusy[oc])
+	}
+	s.park.wake[vcIdx] = wake
 }
 
 // resolveChan resolves a candidate to a directed channel for the route
@@ -402,19 +525,63 @@ func (s *vct) keepRoute(q *vcQueue) {
 }
 
 // launch picks the best available candidate and starts the transfer.
-// Adaptive candidates are preferred; the escape channel is offered only
-// after the packet has been head-blocked for EscapePatienceCycles (or
-// immediately when the routing function is purely deterministic and has
-// no adaptive options at all).
+func (s *vct) launch(sw int, c, vc int32, p *packet, cands []Candidate, chans []int32) bool {
+	bestIdx, bestChan, hasAdaptive := s.pick(sw, p, cands, chans)
+	if bestIdx < 0 {
+		if hasAdaptive && p.blockSince < 0 {
+			p.blockSince = s.now
+		}
+		return false
+	}
+	p.blockSince = -1
+	s.released(p, int32(sw))
+	cand := cands[bestIdx]
+	if s.inWindow(s.now) {
+		s.grantsInWindow++
+		if cand.Escape {
+			s.escGrantsInWindow++
+		}
+	}
+	if cand.Detour && !p.rerouted {
+		p.rerouted = true
+		s.reroutedPkts++
+	}
+	pf := int64(s.cfg.PacketFlits)
+	s.inBusy[c] = s.now + pf
+	s.outBusy[bestChan] = s.now + pf
+	s.credits[bestChan*int32(s.cfg.VCs)+int32(cand.VC)] -= int32(pf)
+	if s.inWindow(s.now) {
+		s.chanFlits[bestChan] += pf
+	}
+	s.wheel.schedule(s.now, s.now+1+s.linkDelay[bestChan], wheelEv{
+		kind:  evArrive,
+		vcIdx: bestChan*int32(s.cfg.VCs) + int32(cand.VC),
+		pkt:   p,
+	})
+	s.returnCredits(c, vc)
+	if s.tracing(p) {
+		s.trace(p, "GRANT", "from", sw, "to", cand.Next, "vc", cand.VC, "escape", cand.Escape)
+	}
+	p.st.Step++
+	p.st.RtState = cand.NewState
+	s.lastProgress = s.now
+	return true
+}
+
+// pick is launch's availability test, free of side effects: the index
+// and output channel of the candidate launch would take now (-1 if
+// none), and whether any candidate is adaptive. Adaptive candidates are
+// preferred; the escape channel is offered only after the packet has
+// been head-blocked for EscapePatienceCycles (or immediately when the
+// routing function is purely deterministic and has no adaptive options
+// at all).
 //
 // chans holds each candidate's output channel from resolveChan; entries
 // marked chanPerAttempt are resolved here, on every attempt.
-func (s *vct) launch(sw int, c, vc int32, p *packet, cands []Candidate, chans []int32) bool {
+func (s *vct) pick(sw int, p *packet, cands []Candidate, chans []int32) (bestIdx int, bestChan int32, hasAdaptive bool) {
 	pf := int32(s.cfg.PacketFlits)
-	bestIdx := -1
+	bestIdx = -1
 	var bestCredits int32 = -1
-	var bestChan int32
-	hasAdaptive := false
 	for i, cand := range cands {
 		if cand.Escape {
 			continue
@@ -437,15 +604,13 @@ func (s *vct) launch(sw int, c, vc int32, p *packet, cands []Candidate, chans []
 	}
 	if bestIdx < 0 {
 		// No adaptive grant. Consult the escape only without adaptive
-		// options or once patience has run out.
-		patienceUp := !hasAdaptive
-		if hasAdaptive {
-			if p.blockSince < 0 {
-				p.blockSince = s.now
-			}
-			patienceUp = s.now-p.blockSince >= s.cfg.EscapePatienceCycles
+		// options or once patience has run out (counted from this
+		// cycle if the head has not been blocked before).
+		since := p.blockSince
+		if since < 0 {
+			since = s.now
 		}
-		if patienceUp {
+		if !hasAdaptive || s.now-since >= s.cfg.EscapePatienceCycles {
 			for i, cand := range cands {
 				if !cand.Escape {
 					continue
@@ -467,42 +632,7 @@ func (s *vct) launch(sw int, c, vc int32, p *packet, cands []Candidate, chans []
 			}
 		}
 	}
-	if bestIdx < 0 {
-		return false
-	}
-	p.blockSince = -1
-	s.released(p, int32(sw))
-	cand := cands[bestIdx]
-	if s.inWindow(s.now) {
-		s.grantsInWindow++
-		if cand.Escape {
-			s.escGrantsInWindow++
-		}
-	}
-	if cand.Detour && !p.rerouted {
-		p.rerouted = true
-		s.reroutedPkts++
-	}
-	pf64 := int64(s.cfg.PacketFlits)
-	s.inBusy[c] = s.now + pf64
-	s.outBusy[bestChan] = s.now + pf64
-	s.credits[bestChan*int32(s.cfg.VCs)+int32(cand.VC)] -= pf
-	if s.inWindow(s.now) {
-		s.chanFlits[bestChan] += pf64
-	}
-	s.wheel.schedule(s.now, s.now+1+s.linkDelay[bestChan], wheelEv{
-		kind:  evArrive,
-		vcIdx: bestChan*int32(s.cfg.VCs) + int32(cand.VC),
-		pkt:   p,
-	})
-	s.returnCredits(c, vc)
-	if s.tracing(p) {
-		s.trace(p, "GRANT", "from", sw, "to", cand.Next, "vc", cand.VC, "escape", cand.Escape)
-	}
-	p.st.Step++
-	p.st.RtState = cand.NewState
-	s.lastProgress = s.now
-	return true
+	return bestIdx, bestChan, hasAdaptive
 }
 
 // returnCredits schedules the freed buffer space of input VC (c, vc) back
@@ -527,7 +657,7 @@ func (s *vct) faultEpoch(revived []int32) {
 		// draining normally).
 		for vc := 0; vc < vcs; vc++ {
 			q := &s.vcq[c*int32(vcs)+int32(vc)]
-			occupied := int32(len(q.entries)-q.head) * int32(s.cfg.PacketFlits)
+			occupied := (int32(len(q.entries)) - q.head) * int32(s.cfg.PacketFlits)
 			s.credits[c*int32(vcs)+int32(vc)] = int32(s.cfg.BufFlitsPerVC) - occupied
 		}
 		s.inBusy[c] = s.now
@@ -588,6 +718,7 @@ func (s *vct) dropDeadQueues() {
 		for h := sw * s.cfg.HostsPerSwitch; h < (sw+1)*s.cfg.HostsPerSwitch; h++ {
 			queued = append(queued, s.hostQ[h]...)
 			s.hostQ[h] = nil
+			s.hostIdle(int32(h))
 		}
 	}
 	for _, p := range victims {

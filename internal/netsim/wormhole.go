@@ -1,7 +1,5 @@
 package netsim
 
-import "math/bits"
-
 // worm is wormhole flow control (NewWormSim): flit-granular credits,
 // one worm per (channel, VC) slot at a time, and each port moving at
 // most one flit per cycle.
@@ -139,24 +137,6 @@ func (s *worm) freeSlot(slot int32) {
 	s.readyAt[slot] = neverReady
 }
 
-// nextClaimed returns the first channel at or after c with a claimed
-// slot, or -1. Walking channels upward with it visits claimed slots in
-// slot-index order.
-func (s *worm) nextClaimed(c int32) int32 {
-	w := int(c >> 6)
-	if w >= len(s.claimedChans) {
-		return -1
-	}
-	word := s.claimedChans[w] &^ (1<<(c&63) - 1)
-	for word == 0 {
-		if w++; w == len(s.claimedChans) {
-			return -1
-		}
-		word = s.claimedChans[w]
-	}
-	return int32(w<<6 + bits.TrailingZeros64(word))
-}
-
 // arrive buffers one flit; a head flit starts the router pipeline.
 func (s *worm) arrive(ev wheelEv) {
 	slot := ev.vcIdx
@@ -170,10 +150,12 @@ func (s *worm) arrive(ev wheelEv) {
 }
 
 // driveHosts claims injection VCs and streams queued flits, one per host
-// per cycle.
+// per cycle. It visits the hosts with a queued packet or a worm still
+// streaming in, in host order.
 func (s *worm) driveHosts() {
 	vcs := s.cfg.VCs
-	for h := 0; h < s.hosts; h++ {
+	for hi := nextBit(s.hostWork, 0); hi >= 0; hi = nextBit(s.hostWork, hi+1) {
+		h := int(hi)
 		// Claim an injection VC for the next packet (paused while a drain
 		// epoch quiesces the network; worms mid-injection keep streaming).
 		if s.hostCur[h] == nil && len(s.hostQ[h]) > 0 && (s.rec == nil || !s.rec.draining) {
@@ -216,6 +198,9 @@ func (s *worm) driveHosts() {
 					s.hostCur[h] = nil // tail sent; slot frees downstream
 				}
 			}
+		}
+		if s.hostCur[h] == nil && len(s.hostQ[h]) == 0 {
+			s.hostIdle(hi)
 		}
 	}
 }
@@ -488,7 +473,7 @@ func (s *worm) breakDeadlock() {
 	var victim *packet
 	var victimSw int32 = -1
 	mark := s.now + 1
-	for c := s.nextClaimed(0); c >= 0; c = s.nextClaimed(c + 1) {
+	for c := nextBit(s.claimedChans, 0); c >= 0; c = nextBit(s.claimedChans, c+1) {
 		for slot := c * vcs; slot < (c+1)*vcs; slot++ {
 			p := s.slotPkt[slot]
 			if p == nil || p.scan == mark {
@@ -533,7 +518,7 @@ func (s *worm) breakDeadlock() {
 // victim, so the sweep naturally visits each worm once.
 func (s *worm) finalRecovery() {
 	vcs := int32(s.cfg.VCs)
-	for c := s.nextClaimed(0); c >= 0; c = s.nextClaimed(c + 1) {
+	for c := nextBit(s.claimedChans, 0); c >= 0; c = nextBit(s.claimedChans, c+1) {
 		for slot := c * vcs; slot < (c+1)*vcs; slot++ {
 			if p := s.slotPkt[slot]; p != nil && p.deadlocked {
 				s.abortWorm(p, s.chanDst[c])
@@ -547,7 +532,7 @@ func (s *worm) finalRecovery() {
 func (s *worm) chain(p *packet) []int32 {
 	vcs := int32(s.cfg.VCs)
 	chain := s.chainBuf[:0]
-	for c := s.nextClaimed(0); c >= 0; c = s.nextClaimed(c + 1) {
+	for c := nextBit(s.claimedChans, 0); c >= 0; c = nextBit(s.claimedChans, c+1) {
 		for slot := c * vcs; slot < (c+1)*vcs; slot++ {
 			if s.slotPkt[slot] == p {
 				chain = append(chain, slot)
@@ -643,8 +628,11 @@ func (s *worm) abortWorm(p *packet, sw int32) {
 		s.freeSlot(sl)
 		s.credits[sl] = int32(s.cfg.BufFlitsPerVC)
 	}
-	if h := int(p.srcHost); s.hostCur[h] == p {
+	if h := p.srcHost; s.hostCur[h] == p {
 		s.hostCur[h] = nil
+		if len(s.hostQ[h]) == 0 {
+			s.hostIdle(h)
+		}
 	}
 	flits := int64(p.injected)
 	p.injected = 0
