@@ -30,6 +30,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -79,53 +80,57 @@ const (
 	exitWatchdog  = 3
 )
 
-// runner executes scenario cells on a bounded worker pool with an
-// optional content-addressed cache; verdicts are reported in campaign
-// order regardless of execution order.
-var runner *harness.Runner
-
 func main() {
+	os.Exit(cli(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// cli parses args, runs the campaigns or the replay they ask for,
+// prints the verdicts to stdout and returns the exit code.
+func cli(args []string, stdout, stderr io.Writer) int {
 	var o opts
-	flag.StringVar(&o.topos, "topo", "torus,dsn,dsn-v-custom",
+	fs := flag.NewFlagSet(os.Args[0], flag.ExitOnError)
+	fs.StringVar(&o.topos, "topo", "torus,dsn,dsn-v-custom",
 		"comma-separated chaos targets: "+strings.Join(dsnet.ChaosTargetNames, ", "))
-	flag.IntVar(&o.n, "n", 36, "number of switches (36 satisfies every DSN variant)")
-	flag.Uint64Var(&o.seed, "seed", 1, "campaign seed (scenarios and simulations derive from it)")
-	flag.IntVar(&o.campaigns, "campaigns", 5, "scenarios per target")
-	flag.Float64Var(&o.rate, "rate", 0, "offered load in flits/cycle/host (0: the target's default)")
-	flag.StringVar(&o.switching, "switching", "vct", "simulator engine: vct or wormhole")
-	flag.Int64Var(&o.fstart, "faultstart", 0, "fault injection window start cycle (0: after warmup)")
-	flag.Int64Var(&o.fend, "faultend", 0, "fault injection window end cycle (0: end of measurement)")
-	flag.BoolVar(&o.shrink, "shrink", false, "delta-debug each failing campaign to a minimal reproducer")
-	flag.StringVar(&o.out, "o", "", "directory to write shrunk reproducer artifacts into (with -shrink)")
-	flag.StringVar(&o.replay, "replay", "", "replay one .repro artifact and verify it still trips its monitor")
-	flag.BoolVar(&o.recover, "recover", false, "arm runtime deadlock detection and recovery (with -replay: expect a clean run on both engines instead)")
-	flag.Int64Var(&o.stall, "stallthreshold", 0, "stall cycles before a packet is suspected deadlocked (0: recovery default)")
-	flag.BoolVar(&o.drain, "drain", false, "with -recover: drain in-flight traffic before swapping routing tables at each fault epoch")
-	flag.BoolVar(&o.multipath, "multipath", false, "arm every target with the k-shortest-path spraying router (with -replay -recover: replay against the armed target)")
-	flag.IntVar(&o.k, "k", 4, "with -multipath: edge-disjoint paths per pair (1..15)")
-	flag.StringVar(&o.selector, "selector", "adaptive", "with -multipath: path selector: "+strings.Join(dsnet.SelectorNames, ", "))
-	jobs := flag.Int("j", 0, "parallel scenario workers (0: all CPUs)")
-	cache := flag.String("cache", harness.DefaultCacheDir, "sweep result cache directory")
-	nocache := flag.Bool("nocache", false, "bypass the sweep result cache")
-	bench := flag.String("bench", "", "write machine-readable sweep benchmarks to this JSON file")
-	flag.Parse()
-	var err error
-	runner, err = harness.NewRunner(*jobs, *cache, *nocache)
+	fs.IntVar(&o.n, "n", 36, "number of switches (36 satisfies every DSN variant)")
+	fs.Uint64Var(&o.seed, "seed", 1, "campaign seed (scenarios and simulations derive from it)")
+	fs.IntVar(&o.campaigns, "campaigns", 5, "scenarios per target")
+	fs.Float64Var(&o.rate, "rate", 0, "offered load in flits/cycle/host (0: the target's default)")
+	fs.StringVar(&o.switching, "switching", "vct", "simulator engine: vct or wormhole")
+	fs.Int64Var(&o.fstart, "faultstart", 0, "fault injection window start cycle (0: after warmup)")
+	fs.Int64Var(&o.fend, "faultend", 0, "fault injection window end cycle (0: end of measurement)")
+	fs.BoolVar(&o.shrink, "shrink", false, "delta-debug each failing campaign to a minimal reproducer")
+	fs.StringVar(&o.out, "o", "", "directory to write shrunk reproducer artifacts into (with -shrink)")
+	fs.StringVar(&o.replay, "replay", "", "replay one .repro artifact and verify it still trips its monitor")
+	fs.BoolVar(&o.recover, "recover", false, "arm runtime deadlock detection and recovery (with -replay: expect a clean run on both engines instead)")
+	fs.Int64Var(&o.stall, "stallthreshold", 0, "stall cycles before a packet is suspected deadlocked (0: recovery default)")
+	fs.BoolVar(&o.drain, "drain", false, "with -recover: drain in-flight traffic before swapping routing tables at each fault epoch")
+	fs.BoolVar(&o.multipath, "multipath", false, "arm every target with the k-shortest-path spraying router (with -replay -recover: replay against the armed target)")
+	fs.IntVar(&o.k, "k", 4, "with -multipath: edge-disjoint paths per pair (1..15)")
+	fs.StringVar(&o.selector, "selector", "adaptive", "with -multipath: path selector: "+strings.Join(dsnet.SelectorNames, ", "))
+	jobs := fs.Int("j", 0, "parallel scenario workers (0: all CPUs)")
+	cache := fs.String("cache", harness.DefaultCacheDir, "sweep result cache directory")
+	nocache := fs.Bool("nocache", false, "bypass the sweep result cache")
+	bench := fs.String("bench", "", "write machine-readable sweep benchmarks to this JSON file")
+	fs.Parse(args)
+	// The runner executes scenario cells on a bounded worker pool with an
+	// optional content-addressed cache; verdicts are reported in campaign
+	// order regardless of execution order.
+	runner, err := harness.NewRunner(*jobs, *cache, *nocache)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "dsnchaos:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "dsnchaos:", err)
+		return exitError
 	}
-	code, runErr := run(o)
+	code, runErr := run(o, runner, stdout)
 	if *bench != "" {
 		if err := harness.NewReport(runner.Bench, runner.JobCount()).WriteFile(*bench); err != nil {
-			fmt.Fprintln(os.Stderr, "dsnchaos:", err)
-			os.Exit(exitError)
+			fmt.Fprintln(stderr, "dsnchaos:", err)
+			return exitError
 		}
 	}
 	if runErr != nil {
-		fmt.Fprintln(os.Stderr, "dsnchaos:", runErr)
+		fmt.Fprintln(stderr, "dsnchaos:", runErr)
 	}
-	os.Exit(code)
+	return code
 }
 
 // tally folds verdict outcomes into the final exit code: watchdog trips
@@ -154,9 +159,9 @@ func (t *tally) code() int {
 	return exitClean
 }
 
-func run(o opts) (int, error) {
+func run(o opts, runner *harness.Runner, w io.Writer) (int, error) {
 	if o.replay != "" {
-		return replay(o)
+		return replay(o, w)
 	}
 	if o.switching != "vct" && o.switching != "wormhole" {
 		return exitError, fmt.Errorf("unknown switching mode %q", o.switching)
@@ -167,7 +172,7 @@ func run(o opts) (int, error) {
 	var t tally
 	for _, name := range strings.Split(o.topos, ",") {
 		name = strings.TrimSpace(name)
-		if err := campaign(o, name, &t); err != nil {
+		if err := campaign(o, runner, w, name, &t); err != nil {
 			return exitError, err
 		}
 	}
@@ -177,7 +182,7 @@ func run(o opts) (int, error) {
 	return exitClean, nil
 }
 
-func campaign(o opts, name string, t *tally) error {
+func campaign(o opts, runner *harness.Runner, w io.Writer, name string, t *tally) error {
 	// buildEngine rebuilds the deterministic (target, options) pair so
 	// every scenario cell is independent — fault-aware routers mutate
 	// their tables during a run, so engines must not be shared across
@@ -213,15 +218,15 @@ func campaign(o opts, name string, t *tally) error {
 	if err != nil {
 		return err
 	}
-	w := e.Opt.FaultWindow()
+	win := e.Opt.FaultWindow()
 	if o.fstart > 0 || o.fend > 0 {
-		w = dsnet.ChaosWindow{Start: o.fstart, End: o.fend}
+		win = dsnet.ChaosWindow{Start: o.fstart, End: o.fend}
 	}
-	scs, err := dsnet.ChaosCampaign(e.T.Graph, e.T.Layout, w, o.seed, o.campaigns)
+	scs, err := dsnet.ChaosCampaign(e.T.Graph, e.T.Layout, win, o.seed, o.campaigns)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("# chaos campaign: %s / %s, %d switches, seed %d, %d scenarios + golden\n",
+	fmt.Fprintf(w, "# chaos campaign: %s / %s, %d switches, seed %d, %d scenarios + golden\n",
 		e.T.Name, e.Opt.EngineName(), e.T.Graph.N(), o.seed, len(scs))
 
 	// e.T.Name carries the multipath arming suffix, keeping armed and
@@ -273,11 +278,11 @@ func campaign(o opts, name string, t *tally) error {
 		return err
 	}
 
-	if err := report(o, e, gv, t); err != nil {
+	if err := report(o, w, e, gv, t); err != nil {
 		return err
 	}
 	for _, v := range verdicts {
-		if err := report(o, e, v, t); err != nil {
+		if err := report(o, w, e, v, t); err != nil {
 			return err
 		}
 	}
@@ -286,8 +291,8 @@ func campaign(o opts, name string, t *tally) error {
 
 // report prints one verdict, folds it into the exit-code tally, and on
 // a violation with -shrink emits the minimal reproducer.
-func report(o opts, e *dsnet.ChaosEngine, v dsnet.ChaosVerdict, t *tally) error {
-	fmt.Println(v)
+func report(o opts, w io.Writer, e *dsnet.ChaosEngine, v dsnet.ChaosVerdict, t *tally) error {
+	fmt.Fprintln(w, v)
 	t.add(v)
 	if v.OK() || !o.shrink {
 		return nil
@@ -296,7 +301,7 @@ func report(o opts, e *dsnet.ChaosEngine, v dsnet.ChaosVerdict, t *tally) error 
 	if err != nil {
 		return err
 	}
-	fmt.Printf("  shrunk %d -> %d events in %d runs\n", len(v.Scenario.Plan.Events), len(shrunk.Events), runs)
+	fmt.Fprintf(w, "  shrunk %d -> %d events in %d runs\n", len(v.Scenario.Plan.Events), len(shrunk.Events), runs)
 	r := &dsnet.ChaosRepro{
 		Target: v.Target, N: e.T.Graph.N(), Engine: v.Engine,
 		Rate: e.Opt.Rate, Seed: e.Opt.Cfg.Seed,
@@ -304,7 +309,7 @@ func report(o opts, e *dsnet.ChaosEngine, v dsnet.ChaosVerdict, t *tally) error 
 		TTL: e.T.HopTTL > 0, Monitor: v.Monitor, Events: shrunk.Events,
 	}
 	if o.out == "" {
-		os.Stdout.Write(r.Marshal())
+		w.Write(r.Marshal())
 		return nil
 	}
 	if err := os.MkdirAll(o.out, 0o755); err != nil {
@@ -314,11 +319,11 @@ func report(o opts, e *dsnet.ChaosEngine, v dsnet.ChaosVerdict, t *tally) error 
 	if err := os.WriteFile(file, r.Marshal(), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("  wrote %s\n", file)
+	fmt.Fprintf(w, "  wrote %s\n", file)
 	return nil
 }
 
-func replay(o opts) (int, error) {
+func replay(o opts, w io.Writer) (int, error) {
 	data, err := os.ReadFile(o.replay)
 	if err != nil {
 		return exitError, err
@@ -328,7 +333,7 @@ func replay(o opts) (int, error) {
 		return exitError, err
 	}
 	if o.recover {
-		return replayRecovered(o, r)
+		return replayRecovered(o, w, r)
 	}
 	if o.multipath {
 		return exitError, fmt.Errorf("-replay -multipath requires -recover (an armed replay is judged by recovery accounting, not by reproducing the recorded monitor)")
@@ -339,7 +344,7 @@ func replay(o opts) (int, error) {
 		// of the corpus, not a fabric verdict.
 		return exitError, err
 	}
-	fmt.Printf("%s: reproduced %s on %s/%s\n", filepath.Base(o.replay), r.Monitor, r.Target, r.Engine)
+	fmt.Fprintf(w, "%s: reproduced %s on %s/%s\n", filepath.Base(o.replay), r.Monitor, r.Target, r.Engine)
 	return exitClean, nil
 }
 
@@ -348,7 +353,7 @@ func replay(o opts) (int, error) {
 // when -drain is set): a scenario that wedges the fabric without
 // recovery must now complete with zero unresolved deadlocks. The exit
 // code classifies any residual violation like a campaign would.
-func replayRecovered(o opts, r *dsnet.ChaosRepro) (int, error) {
+func replayRecovered(o opts, w io.Writer, r *dsnet.ChaosRepro) (int, error) {
 	var t tally
 	for _, engine := range []string{"vct", "wormhole"} {
 		var v dsnet.ChaosVerdict
@@ -370,7 +375,7 @@ func replayRecovered(o opts, r *dsnet.ChaosRepro) (int, error) {
 		if !v.OK() {
 			status = fmt.Sprintf("VIOLATION %s: %s", v.Monitor, v.Detail)
 		}
-		fmt.Printf("%s: recovered replay on %s/%s: %s (detected %d, recovered %d, released %d, lost %d, aborted flits %d)\n",
+		fmt.Fprintf(w, "%s: recovered replay on %s/%s: %s (detected %d, recovered %d, released %d, lost %d, aborted flits %d)\n",
 			filepath.Base(o.replay), v.Target, engine, status,
 			v.Result.DeadlocksDetected, v.Result.DeadlocksRecovered,
 			v.Result.DeadlocksReleased, v.Result.DeadlocksLost, v.Result.AbortedFlits)
