@@ -1,6 +1,7 @@
 package dsnet
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -89,7 +90,7 @@ func TestFacadeTopologies(t *testing.T) {
 }
 
 func TestFacadeExperiments(t *testing.T) {
-	rows, err := PathSweep([]int{6}, []uint64{1})
+	rows, err := PathSweep(context.Background(), nil, []int{6}, []uint64{1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestFacadeExperiments(t *testing.T) {
 	if !strings.Contains(sb.String(), "DSN") {
 		t.Fatal("table missing DSN")
 	}
-	crows, err := CableSweep([]int{6}, []uint64{1}, DefaultLayoutConfig())
+	crows, err := CableSweep(context.Background(), nil, []int{6}, []uint64{1}, DefaultLayoutConfig())
 	if err != nil {
 		t.Fatal(err)
 	}

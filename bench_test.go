@@ -10,6 +10,7 @@
 package dsnet
 
 import (
+	"context"
 	"testing"
 )
 
@@ -31,7 +32,7 @@ func BenchmarkFig7_Diameter(b *testing.B) {
 	var rows []PathRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = PathSweep(fig78Sizes, []uint64{1})
+		rows, err = PathSweep(context.Background(), nil, fig78Sizes, []uint64{1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -48,7 +49,7 @@ func BenchmarkFig8_ASPL(b *testing.B) {
 	var rows []PathRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = PathSweep(fig78Sizes, []uint64{1})
+		rows, err = PathSweep(context.Background(), nil, fig78Sizes, []uint64{1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -66,7 +67,7 @@ func BenchmarkFig9_CableLength(b *testing.B) {
 	var rows []CableRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = CableSweep(fig78Sizes, []uint64{1}, DefaultLayoutConfig())
+		rows, err = CableSweep(context.Background(), nil, fig78Sizes, []uint64{1}, DefaultLayoutConfig())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -85,7 +86,7 @@ func fig10(b *testing.B, pattern string) {
 	var curves []LatencyCurve
 	for i := 0; i < b.N; i++ {
 		var err error
-		curves, err = Fig10Curves(benchSimConfig(), pattern, rates, 1)
+		curves, err = Fig10Curves(context.Background(), nil, benchSimConfig(), pattern, rates, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -247,7 +248,7 @@ func BenchmarkCollective_RingAllreduce(b *testing.B) {
 	var rows []CollectiveRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = CollectiveSweep(benchSimConfig(), []int{16}, "allreduce", "ring", 0, 1, 1)
+		rows, err = CollectiveSweep(context.Background(), nil, benchSimConfig(), []int{16}, "allreduce", "ring", 0, 1, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -265,7 +266,7 @@ func BenchmarkCollective_Broadcast(b *testing.B) {
 	var rows []CollectiveRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = CollectiveSweep(benchSimConfig(), []int{16}, "broadcast", "", 0, 1, 1)
+		rows, err = CollectiveSweep(context.Background(), nil, benchSimConfig(), []int{16}, "broadcast", "", 0, 1, 1)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -23,6 +23,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -123,27 +124,27 @@ func runGrid(r *dsnet.SweepRunner, g grid, seed uint64, wormhole bool) (*bundle,
 	if err != nil {
 		return nil, err
 	}
-	lat, err := dsnet.LatencySweepWith(r, g.cfg, d.Graph(), "DSN", "uniform", g.latRates)
+	lat, err := dsnet.LatencySweep(context.Background(), r, g.cfg, d.Graph(), "DSN", "uniform", g.latRates)
 	if err != nil {
 		return nil, err
 	}
-	faults, err := dsnet.FaultSweepWith(r, g.faultN, g.fracs, g.trials, seed)
+	faults, err := dsnet.FaultSweep(context.Background(), r, g.faultN, g.fracs, g.trials, seed)
 	if err != nil {
 		return nil, err
 	}
-	coll, err := dsnet.CollectiveSweepWith(r, g.cfg, g.collSizes, "allreduce", "ring", 0, g.collReps, seed)
+	coll, err := dsnet.CollectiveSweep(context.Background(), r, g.cfg, g.collSizes, "allreduce", "ring", 0, g.collReps, seed)
 	if err != nil {
 		return nil, err
 	}
-	chaosRows, err := dsnet.ChaosSweepWith(r, g.targets, g.chaosN, seed, g.scenarios, wormhole)
+	chaosRows, err := dsnet.ChaosSweep(context.Background(), r, g.targets, g.chaosN, seed, g.scenarios, wormhole)
 	if err != nil {
 		return nil, err
 	}
-	mp, err := dsnet.MultipathSweepWith(r, g.cfg, g.mpN, g.mpRate, g.mpFrac, seed)
+	mp, err := dsnet.MultipathSweep(context.Background(), r, g.cfg, g.mpN, g.mpRate, g.mpFrac, seed)
 	if err != nil {
 		return nil, err
 	}
-	div, err := dsnet.DiversitySweepWith(r, g.mpN, []int{2, 4}, seed)
+	div, err := dsnet.DiversitySweep(context.Background(), r, g.mpN, []int{2, 4}, seed)
 	if err != nil {
 		return nil, err
 	}

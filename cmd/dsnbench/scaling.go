@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -21,14 +22,14 @@ func scaling(jobs int, seed uint64) ([]dsnet.BenchScalingRow, error) {
 		trials := 10
 
 		serial := time.Now()
-		ref, err := dsnet.FaultSweepWith(&dsnet.SweepRunner{Jobs: 1}, n, fracs, trials, seed)
+		ref, err := dsnet.FaultSweep(context.Background(), &dsnet.SweepRunner{Jobs: 1}, n, fracs, trials, seed)
 		if err != nil {
 			return nil, err
 		}
 		serialMS := float64(time.Since(serial).Microseconds()) / 1e3
 
 		par := time.Now()
-		got, err := dsnet.FaultSweepWith(&dsnet.SweepRunner{Jobs: jobs}, n, fracs, trials, seed)
+		got, err := dsnet.FaultSweep(context.Background(), &dsnet.SweepRunner{Jobs: jobs}, n, fracs, trials, seed)
 		if err != nil {
 			return nil, err
 		}

@@ -28,6 +28,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -182,106 +183,47 @@ func run(o opts, runner *harness.Runner, w io.Writer) (int, error) {
 	return exitClean, nil
 }
 
+// arm resolves the -multipath/-k/-selector flags (nil without
+// -multipath).
+func (o opts) arm() (*dsnet.ChaosArm, error) {
+	if !o.multipath {
+		return nil, nil
+	}
+	sel, err := dsnet.ParseSelector(o.selector)
+	if err != nil {
+		return nil, err
+	}
+	return &dsnet.ChaosArm{K: o.k, Selector: sel}, nil
+}
+
+// campaign runs one target's campaign grid and reports its verdicts,
+// golden first.
 func campaign(o opts, runner *harness.Runner, w io.Writer, name string, t *tally) error {
-	// buildEngine rebuilds the deterministic (target, options) pair so
-	// every scenario cell is independent — fault-aware routers mutate
-	// their tables during a run, so engines must not be shared across
-	// parallel cells.
-	buildEngine := func() (*dsnet.ChaosEngine, error) {
-		t, err := dsnet.ChaosTarget(name, o.n)
-		if err != nil {
-			return nil, err
-		}
-		opt := dsnet.ChaosDefaultOptions()
-		if o.multipath {
-			sel, err := dsnet.ParseSelector(o.selector)
-			if err != nil {
-				return nil, err
-			}
-			if t, err = dsnet.ChaosArmMultipath(t, o.k, sel, opt.Cfg.VCs, o.seed); err != nil {
-				return nil, err
-			}
-		}
-		opt.Wormhole = o.switching == "wormhole"
-		if o.rate > 0 {
-			opt.Rate = o.rate
-		} else if t.SafeRate > 0 {
-			opt.Rate = t.SafeRate
-		}
-		if o.recover {
-			opt.Recover = true
-			opt.Recovery = o.recoveryConfig()
-		}
-		return dsnet.NewChaosEngine(t, opt)
-	}
-	e, err := buildEngine()
+	arm, err := o.arm()
 	if err != nil {
 		return err
 	}
-	win := e.Opt.FaultWindow()
+	s := dsnet.ChaosSetup{Target: name, N: o.n, Wormhole: o.switching == "wormhole",
+		Rate: o.rate, Multipath: arm, Seed: o.seed}
+	if o.recover {
+		rc := o.recoveryConfig()
+		s.Recovery = &rc
+	}
 	if o.fstart > 0 || o.fend > 0 {
-		win = dsnet.ChaosWindow{Start: o.fstart, End: o.fend}
+		s.Window = dsnet.ChaosWindow{Start: o.fstart, End: o.fend}
 	}
-	scs, err := dsnet.ChaosCampaign(e.T.Graph, e.T.Layout, win, o.seed, o.campaigns)
+	g, err := dsnet.NewChaosGrid([]dsnet.ChaosSetup{s}, o.campaigns)
 	if err != nil {
 		return err
 	}
+	e := g.Engines[0]
 	fmt.Fprintf(w, "# chaos campaign: %s / %s, %d switches, seed %d, %d scenarios + golden\n",
-		e.T.Name, e.Opt.EngineName(), e.T.Graph.N(), o.seed, len(scs))
-
-	// e.T.Name carries the multipath arming suffix, keeping armed and
-	// single-path campaigns apart in the result cache.
-	optFP := harness.Fingerprint(fmt.Sprintf("%+v", e.Opt))
-	goldenKey := harness.NewKey("chaos-golden")
-	goldenKey.Topo, goldenKey.Switching = e.T.Name, e.Opt.EngineName()
-	goldenKey.N, goldenKey.Rate, goldenKey.Seed = e.T.Graph.N(), e.Opt.Rate, e.Opt.Cfg.Seed
-	goldenKey.Params = []harness.Param{harness.P("opt", optFP)}
-	goldens, err := harness.Run(runner, "chaos-golden", []harness.Cell[dsnet.ChaosVerdict]{
-		{Key: goldenKey, Run: func() (dsnet.ChaosVerdict, error) {
-			ge, err := buildEngine()
-			if err != nil {
-				return dsnet.ChaosVerdict{}, err
-			}
-			return ge.GoldenVerdict()
-		}},
-	})
+		e.T.Name, e.Opt.EngineName(), e.T.Graph.N(), o.seed, len(g.Scenarios[0]))
+	verdicts, err := g.Run(context.Background(), runner)
 	if err != nil {
 		return err
 	}
-	gv := goldens[0]
-	// Seed the serially-held engine too: shrinking re-applies the
-	// reconvergence check, which needs the golden baseline.
-	e.SetGolden(gv.Result, gv.Monitor)
-
-	cells := make([]harness.Cell[dsnet.ChaosVerdict], 0, len(scs))
-	for _, sc := range scs {
-		key := harness.NewKey("chaos")
-		key.Topo, key.Switching = e.T.Name, e.Opt.EngineName()
-		key.N, key.Seed = o.n, sc.Seed
-		key.Params = []harness.Param{
-			harness.P("kind", sc.Kind.String()),
-			harness.P("plan", harness.FaultPlanFingerprint(sc.Plan)),
-			harness.P("opt", optFP),
-			harness.Pd("golden", gv.Result.DeliveredTotal),
-		}
-		cells = append(cells, harness.Cell[dsnet.ChaosVerdict]{Key: key, Run: func() (dsnet.ChaosVerdict, error) {
-			ge, err := buildEngine()
-			if err != nil {
-				return dsnet.ChaosVerdict{}, err
-			}
-			ge.SetGolden(gv.Result, gv.Monitor)
-			return ge.RunScenario(sc)
-		}})
-	}
-	verdicts, err := harness.Run(runner, "chaos", cells)
-	if err != nil {
-		return err
-	}
-
-	if err := report(o, w, e, gv, t); err != nil {
-		return err
-	}
-	for _, v := range verdicts {
+	for _, v := range verdicts[0] {
 		if err := report(o, w, e, v, t); err != nil {
 			return err
 		}
@@ -354,19 +296,13 @@ func replay(o opts, w io.Writer) (int, error) {
 // recovery must now complete with zero unresolved deadlocks. The exit
 // code classifies any residual violation like a campaign would.
 func replayRecovered(o opts, w io.Writer, r *dsnet.ChaosRepro) (int, error) {
+	arm, err := o.arm()
+	if err != nil {
+		return exitError, err
+	}
 	var t tally
 	for _, engine := range []string{"vct", "wormhole"} {
-		var v dsnet.ChaosVerdict
-		var err error
-		if o.multipath {
-			var sel dsnet.MultipathSelector
-			if sel, err = dsnet.ParseSelector(o.selector); err != nil {
-				return exitError, err
-			}
-			v, err = r.RunRecoveredArmed(engine, o.drain, o.k, sel)
-		} else {
-			v, err = r.RunRecovered(engine, o.drain)
-		}
+		v, err := r.RunRecovered(engine, o.drain, arm)
 		if err != nil {
 			return exitError, err
 		}

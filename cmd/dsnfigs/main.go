@@ -84,7 +84,7 @@ var sweepSizes = []int{5, 6, 7, 8, 9, 10, 11}
 func run(fig string, seed uint64, quick bool) error {
 	switch fig {
 	case "7", "8":
-		rows, err := dsnet.PathSweepWith(runner, sweepSizes, []uint64{seed, seed + 1, seed + 2})
+		rows, err := dsnet.PathSweep(context.Background(), runner, sweepSizes, []uint64{seed, seed + 1, seed + 2})
 		if err != nil {
 			return err
 		}
@@ -98,7 +98,7 @@ func run(fig string, seed uint64, quick bool) error {
 		fmt.Println("# Figure 8: average shortest path length (hops) vs network size")
 		return dsnet.WritePathTable(os.Stdout, rows, "aspl")
 	case "9":
-		rows, err := dsnet.CableSweepWith(runner, sweepSizes, []uint64{seed, seed + 1, seed + 2}, dsnet.DefaultLayoutConfig())
+		rows, err := dsnet.CableSweep(context.Background(), runner, sweepSizes, []uint64{seed, seed + 1, seed + 2}, dsnet.DefaultLayoutConfig())
 		if err != nil {
 			return err
 		}
@@ -128,7 +128,7 @@ func run(fig string, seed uint64, quick bool) error {
 		dsnet.WriteBottleneckTable(os.Stdout, rows)
 		return nil
 	case "faults":
-		rows, err := dsnet.FaultSweepWith(runner, 64, []float64{0.02, 0.05, 0.10}, 10, seed)
+		rows, err := dsnet.FaultSweep(context.Background(), runner, 64, []float64{0.02, 0.05, 0.10}, 10, seed)
 		if err != nil {
 			return err
 		}
@@ -139,7 +139,7 @@ func run(fig string, seed uint64, quick bool) error {
 		dsnet.WriteFaultTable(os.Stdout, rows)
 		return nil
 	case "faultsim":
-		rows, err := dsnet.DegradationSweepWith(runner, simConfig(seed, quick), 64, []float64{0, 0.02, 0.05, 0.10}, 0.06, seed)
+		rows, err := dsnet.DegradationSweep(context.Background(), runner, simConfig(seed, quick), 64, []float64{0, 0.02, 0.05, 0.10}, 0.06, seed)
 		if err != nil {
 			return err
 		}
@@ -220,7 +220,7 @@ func run(fig string, seed uint64, quick bool) error {
 			sizes = []int{64}
 			reps = 2
 		}
-		rows, err := dsnet.CollectiveSweepWith(runner, simConfig(seed, quick), sizes, "allreduce", "ring", 0, reps, seed)
+		rows, err := dsnet.CollectiveSweep(context.Background(), runner, simConfig(seed, quick), sizes, "allreduce", "ring", 0, reps, seed)
 		if err != nil {
 			return err
 		}
@@ -238,7 +238,7 @@ func run(fig string, seed uint64, quick bool) error {
 		if quick {
 			n = 16
 		}
-		rows, err := dsnet.MultipathSweepWith(runner, simConfig(seed, quick), n, 0.05, 0.05, seed)
+		rows, err := dsnet.MultipathSweep(context.Background(), runner, simConfig(seed, quick), n, 0.05, 0.05, seed)
 		if err != nil {
 			return err
 		}
@@ -253,7 +253,7 @@ func run(fig string, seed uint64, quick bool) error {
 		if quick {
 			n = 16
 		}
-		rows, err := dsnet.DiversitySweepWith(runner, n, []int{2, 4, 8}, seed)
+		rows, err := dsnet.DiversitySweep(context.Background(), runner, n, []int{2, 4, 8}, seed)
 		if err != nil {
 			return err
 		}
@@ -312,7 +312,7 @@ func simConfig(seed uint64, quick bool) dsnet.SimConfig {
 
 func fig10(pattern string, seed uint64, quick bool) error {
 	rates := []float64{0.01, 0.02, 0.04, 0.06, 0.08, 0.10, 0.12, 0.14}
-	curves, err := dsnet.Fig10CurvesWith(runner, simConfig(seed, quick), pattern, rates, seed)
+	curves, err := dsnet.Fig10Curves(context.Background(), runner, simConfig(seed, quick), pattern, rates, seed)
 	if err != nil {
 		return err
 	}

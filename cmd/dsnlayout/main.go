@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -35,7 +36,7 @@ func main() {
 
 func run(n int, sweep bool, seed uint64, cfg dsnet.LayoutConfig, optimize int) error {
 	if sweep {
-		rows, err := dsnet.CableSweep([]int{5, 6, 7, 8, 9, 10, 11}, []uint64{seed}, cfg)
+		rows, err := dsnet.CableSweep(context.Background(), nil, []int{5, 6, 7, 8, 9, 10, 11}, []uint64{seed}, cfg)
 		if err != nil {
 			return err
 		}

@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -97,7 +98,7 @@ func render(what, topo string, n int, seed uint64, size int, fast bool) (string,
 		}
 		return viz.FloorplanSVG(l, g, size)
 	case "fig7", "fig8":
-		rows, err := dsnet.PathSweep([]int{5, 6, 7, 8, 9, 10, 11}, []uint64{seed})
+		rows, err := dsnet.PathSweep(context.Background(), nil, []int{5, 6, 7, 8, 9, 10, 11}, []uint64{seed})
 		if err != nil {
 			return "", err
 		}
@@ -118,7 +119,7 @@ func render(what, topo string, n int, seed uint64, size int, fast bool) (string,
 		}
 		return viz.CurvesSVG(metric+" vs network size", "log2 N", metric, series, size, size*3/4), nil
 	case "fig9":
-		rows, err := dsnet.CableSweep([]int{5, 6, 7, 8, 9, 10, 11}, []uint64{seed}, dsnet.DefaultLayoutConfig())
+		rows, err := dsnet.CableSweep(context.Background(), nil, []int{5, 6, 7, 8, 9, 10, 11}, []uint64{seed}, dsnet.DefaultLayoutConfig())
 		if err != nil {
 			return "", err
 		}
@@ -158,7 +159,7 @@ func render(what, topo string, n int, seed uint64, size int, fast bool) (string,
 			cfg.MeasureCycles = 6000
 			cfg.DrainCycles = 8000
 		}
-		curves, err := dsnet.Fig10Curves(cfg, pattern, []float64{0.01, 0.02, 0.04, 0.06, 0.08, 0.10, 0.12}, seed)
+		curves, err := dsnet.Fig10Curves(context.Background(), nil, cfg, pattern, []float64{0.01, 0.02, 0.04, 0.06, 0.08, 0.10, 0.12}, seed)
 		if err != nil {
 			return "", err
 		}

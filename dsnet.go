@@ -479,6 +479,9 @@ type (
 	ChaosEngine     = chaos.Engine
 	ChaosRepro      = chaos.Repro
 	ChaosWindow     = chaos.Window
+	ChaosSetup      = chaos.Setup
+	ChaosArm        = chaos.Arm
+	ChaosGrid       = chaos.Grid
 	ChaosRow        = analysis.ChaosRow
 	RecoveryRow     = analysis.RecoveryRow
 )
@@ -488,6 +491,7 @@ var (
 	ChaosTargetNames    = chaos.TargetNames
 	ChaosDefaultOptions = chaos.DefaultOptions
 	NewChaosEngine      = chaos.New
+	NewChaosGrid        = chaos.NewGrid
 	ChaosCampaign       = chaos.Campaign
 	ChaosGenerate       = chaos.Generate
 	ChaosShrink         = chaos.Shrink
@@ -501,8 +505,6 @@ var (
 	// Recovery-cost sweep: unarmed vs live-swap vs drain-before-
 	// reconfigure recovery across link-failure fractions.
 	RecoverySweep      = analysis.RecoverySweep
-	RecoverySweepWith  = analysis.RecoverySweepWith
-	RecoverySweepCtx   = analysis.RecoverySweepCtx
 	WriteRecoveryTable = analysis.WriteRecoveryTable
 	RecoveryModes      = analysis.RecoveryModes
 )
@@ -549,29 +551,6 @@ var (
 	SerialSweepRunner  = harness.Serial
 	OpenSweepCache     = harness.OpenCache
 	NewBenchReport     = harness.NewReport
-
-	// Sweep drivers on an explicit runner; the plain variants above run
-	// the same cells on the default (parallel, uncached) runner.
-	PathSweepWith        = analysis.PathSweepWith
-	CableSweepWith       = analysis.CableSweepWith
-	LatencySweepWith     = analysis.LatencySweepWith
-	Fig10CurvesWith      = analysis.Fig10CurvesWith
-	FaultSweepWith       = analysis.FaultSweepWith
-	DegradationSweepWith = analysis.DegradationSweepWith
-	CollectiveSweepWith  = analysis.CollectiveSweepWith
-	ChaosSweepWith       = analysis.ChaosSweepWith
-
-	// Context-aware sweep drivers (cmd/dsnserve): cancelling the context
-	// stops dispatching cells and surfaces ctx.Err() instead of partial
-	// results.
-	PathSweepCtx        = analysis.PathSweepCtx
-	CableSweepCtx       = analysis.CableSweepCtx
-	LatencySweepCtx     = analysis.LatencySweepCtx
-	Fig10CurvesCtx      = analysis.Fig10CurvesCtx
-	FaultSweepCtx       = analysis.FaultSweepCtx
-	DegradationSweepCtx = analysis.DegradationSweepCtx
-	CollectiveSweepCtx  = analysis.CollectiveSweepCtx
-	ChaosSweepCtx       = analysis.ChaosSweepCtx
 
 	// BuildTopology constructs one named comparison topology — the
 	// request-driven entry point dsnserve uses.
@@ -686,11 +665,7 @@ var (
 
 	// Multipath experiment drivers and the verify-layer certification.
 	MultipathSweep           = analysis.MultipathSweep
-	MultipathSweepWith       = analysis.MultipathSweepWith
-	MultipathSweepCtx        = analysis.MultipathSweepCtx
 	DiversitySweep           = analysis.DiversitySweep
-	DiversitySweepWith       = analysis.DiversitySweepWith
-	DiversitySweepCtx        = analysis.DiversitySweepCtx
 	WriteMultipathTable      = analysis.WriteMultipathTable
 	WriteDiversityTable      = analysis.WriteDiversityTable
 	CertifyDegradedMultipath = verify.CertifyDegradedMultipath

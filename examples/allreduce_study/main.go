@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -42,7 +43,7 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("== %s: %d messages, %d flits ==\n", dag.Name(), len(dag.Messages), dag.TotalFlits())
-		rows, err := dsnet.CollectiveSweep(cfg, []int{n}, w.collective, w.algo, cfg.PacketFlits, reps, seed)
+		rows, err := dsnet.CollectiveSweep(context.Background(), nil, cfg, []int{n}, w.collective, w.algo, cfg.PacketFlits, reps, seed)
 		if err != nil {
 			log.Fatal(err)
 		}

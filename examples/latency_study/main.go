@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -23,7 +24,7 @@ func main() {
 	fmt.Println()
 
 	rates := []float64{0.02, 0.06, 0.10}
-	curves, err := dsnet.Fig10Curves(cfg, "uniform", rates, 1)
+	curves, err := dsnet.Fig10Curves(context.Background(), nil, cfg, "uniform", rates, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,6 +9,15 @@
 // plus the traffic-balance comparison the paper sketches for its custom
 // routing (BalanceComparison).
 //
+// The sweeps that run as harness cell grids (PathSweep, CableSweep,
+// LatencySweep, Fig10Curves, FaultSweep, DegradationSweep,
+// CollectiveSweep, ChaosSweep, RecoverySweep, MultipathSweep and
+// DiversitySweep) share one shape, X(ctx, r, ...). Their cells run on
+// r's worker pool and cache (nil: harness.Default()) and are assembled
+// in the serial order, so the result does not depend on the worker
+// count. Cancelling ctx stops dispatching cells, and the sweep returns
+// ctx.Err() instead of a partial result.
+//
 // Topology names used throughout match the paper: "DSN" (the basic
 // DSN-(p-1)), "Torus" (near-square 2-D torus) and "RANDOM" (DLN-2-2).
 package analysis
@@ -95,21 +104,9 @@ type pathCell struct {
 
 // PathSweep computes diameter and average shortest path length for every
 // log2 size in logSizes (the paper sweeps 5..11). Random topologies are
-// averaged over the provided seeds.
-func PathSweep(logSizes []int, seeds []uint64) ([]PathRow, error) {
-	return PathSweepWith(harness.Default(), logSizes, seeds)
-}
-
-// PathSweepWith is PathSweep on an explicit harness runner: one cell
-// per (size, topology, seed) measurement, assembled into rows exactly
-// as the serial sweep orders them.
-func PathSweepWith(r *harness.Runner, logSizes []int, seeds []uint64) ([]PathRow, error) {
-	return PathSweepCtx(context.Background(), r, logSizes, seeds)
-}
-
-// PathSweepCtx is PathSweepWith under a context: cancellation stops
-// dispatching cells and surfaces ctx.Err() instead of partial rows.
-func PathSweepCtx(ctx context.Context, r *harness.Runner, logSizes []int, seeds []uint64) ([]PathRow, error) {
+// averaged over the provided seeds. Each (size, topology, seed)
+// measurement is one cell, assembled into rows in the serial order.
+func PathSweep(ctx context.Context, r *harness.Runner, logSizes []int, seeds []uint64) ([]PathRow, error) {
 	if len(seeds) == 0 {
 		seeds = []uint64{1}
 	}
@@ -179,17 +176,7 @@ type CableRow struct {
 
 // CableSweep computes the average cable length of each comparison
 // topology under the Section VI.B machine-room layout.
-func CableSweep(logSizes []int, seeds []uint64, cfg layout.Config) ([]CableRow, error) {
-	return CableSweepWith(harness.Default(), logSizes, seeds, cfg)
-}
-
-// CableSweepWith is CableSweep on an explicit harness runner.
-func CableSweepWith(r *harness.Runner, logSizes []int, seeds []uint64, cfg layout.Config) ([]CableRow, error) {
-	return CableSweepCtx(context.Background(), r, logSizes, seeds, cfg)
-}
-
-// CableSweepCtx is CableSweepWith under a context.
-func CableSweepCtx(ctx context.Context, r *harness.Runner, logSizes []int, seeds []uint64, cfg layout.Config) ([]CableRow, error) {
+func CableSweep(ctx context.Context, r *harness.Runner, logSizes []int, seeds []uint64, cfg layout.Config) ([]CableRow, error) {
 	if len(seeds) == 0 {
 		seeds = []uint64{1}
 	}

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -36,7 +37,7 @@ func TestBuildComparison(t *testing.T) {
 // Figures 7 and 8 shape: RANDOM lowest, torus highest, DSN between and
 // close to RANDOM, with the torus gap growing with size.
 func TestPathSweepShape(t *testing.T) {
-	rows, err := PathSweep([]int{6, 8, 10}, []uint64{1, 2})
+	rows, err := PathSweep(context.Background(), nil, []int{6, 8, 10}, []uint64{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestPathSweepShape(t *testing.T) {
 // Section VII.B reports ASPL 3.2 / 3.2 / 4.1 for DSN / RANDOM / torus at
 // 64 switches. Allow a modest tolerance for the RANDOM seeds.
 func TestASPL64Switches(t *testing.T) {
-	rows, err := PathSweep([]int{6}, []uint64{1, 2, 3})
+	rows, err := PathSweep(context.Background(), nil, []int{6}, []uint64{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestASPL64Switches(t *testing.T) {
 }
 
 func TestCableSweepShape(t *testing.T) {
-	rows, err := CableSweep([]int{8, 10, 11}, []uint64{1}, layout.DefaultConfig())
+	rows, err := CableSweep(context.Background(), nil, []int{8, 10, 11}, []uint64{1}, layout.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +104,7 @@ func TestCableSweepShape(t *testing.T) {
 // Section I headline: up to 38% shorter average cable than RANDOM, and
 // diameter / ASPL improved vs torus by up to 67% / 55%.
 func TestHeadlineClaims(t *testing.T) {
-	rows, err := PathSweep([]int{11}, []uint64{1})
+	rows, err := PathSweep(context.Background(), nil, []int{11}, []uint64{1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +117,7 @@ func TestHeadlineClaims(t *testing.T) {
 	if asplImp < 0.40 {
 		t.Errorf("ASPL improvement vs torus %.0f%%, paper: up to 55%%", asplImp*100)
 	}
-	crows, err := CableSweep([]int{11}, []uint64{1}, layout.DefaultConfig())
+	crows, err := CableSweep(context.Background(), nil, []int{11}, []uint64{1}, layout.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestHeadlineClaims(t *testing.T) {
 }
 
 func TestWritePathTable(t *testing.T) {
-	rows, err := PathSweep([]int{6}, []uint64{1})
+	rows, err := PathSweep(context.Background(), nil, []int{6}, []uint64{1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestWritePathTable(t *testing.T) {
 		t.Fatal("bad metric accepted")
 	}
 	var cb strings.Builder
-	crows, err := CableSweep([]int{6}, []uint64{1}, layout.DefaultConfig())
+	crows, err := CableSweep(context.Background(), nil, []int{6}, []uint64{1}, layout.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestLatencySweepAndTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	curve, err := LatencySweep(simCfg(), graphs["DSN"], "DSN", "uniform", []float64{0.02, 0.08})
+	curve, err := LatencySweep(context.Background(), nil, simCfg(), graphs["DSN"], "DSN", "uniform", []float64{0.02, 0.08})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,7 @@ func TestLatencySweepAndTable(t *testing.T) {
 }
 
 func TestFaultSweep(t *testing.T) {
-	rows, err := FaultSweep(64, []float64{0, 0.05}, 4, 1)
+	rows, err := FaultSweep(context.Background(), nil, 64, []float64{0, 0.05}, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,10 +228,10 @@ func TestFaultSweep(t *testing.T) {
 	if !strings.Contains(sb.String(), "fail_frac") {
 		t.Fatal("fault table header missing")
 	}
-	if _, err := FaultSweep(64, []float64{0.5}, 0, 1); err == nil {
+	if _, err := FaultSweep(context.Background(), nil, 64, []float64{0.5}, 0, 1); err == nil {
 		t.Fatal("0 trials accepted")
 	}
-	if _, err := FaultSweep(64, []float64{1.0}, 1, 1); err == nil {
+	if _, err := FaultSweep(context.Background(), nil, 64, []float64{1.0}, 1, 1); err == nil {
 		t.Fatal("fraction 1.0 accepted")
 	}
 }
@@ -499,7 +500,7 @@ func TestSaturationThroughputValidation(t *testing.T) {
 func TestFig10CurvesSmoke(t *testing.T) {
 	cfg := simCfg()
 	cfg.WarmupCycles, cfg.MeasureCycles, cfg.DrainCycles = 800, 1600, 2400
-	curves, err := Fig10Curves(cfg, "uniform", []float64{0.02}, 1)
+	curves, err := Fig10Curves(context.Background(), nil, cfg, "uniform", []float64{0.02}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,7 +512,7 @@ func TestFig10CurvesSmoke(t *testing.T) {
 			t.Fatalf("curve %s: %+v", c.Topology, c.Points)
 		}
 	}
-	if _, err := Fig10Curves(cfg, "bogus", []float64{0.02}, 1); err == nil {
+	if _, err := Fig10Curves(context.Background(), nil, cfg, "bogus", []float64{0.02}, 1); err == nil {
 		t.Fatal("bogus pattern accepted")
 	}
 }

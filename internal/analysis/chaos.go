@@ -26,115 +26,32 @@ type ChaosRow struct {
 
 // ChaosSweep runs a campaign of count scenarios (plus the zero-fault
 // golden baseline) against each named target (chaos.BuildTarget names)
-// through the given simulator engine.
+// through the given simulator engine, as one chaos.Grid on r (nil:
+// harness.Default()); cancelling ctx stops both of its grids.
 // Campaign generation and every simulation are seeded, so a row is
 // reproducible from (target, n, seed, count, wormhole) alone.
-func ChaosSweep(targets []string, n int, seed uint64, count int, wormhole bool) ([]ChaosRow, error) {
-	return ChaosSweepWith(harness.Default(), targets, n, seed, count, wormhole)
-}
-
-// ChaosSweepWith is ChaosSweep on an explicit harness runner. The
-// zero-fault golden baselines run first (one cell per target); every
-// scenario then runs as an independent cell on a fresh engine seeded
-// with its target's golden result, so the reconvergence check matches
-// the serial campaign exactly.
-func ChaosSweepWith(r *harness.Runner, targets []string, n int, seed uint64, count int, wormhole bool) ([]ChaosRow, error) {
-	return ChaosSweepCtx(context.Background(), r, targets, n, seed, count, wormhole)
-}
-
-// ChaosSweepCtx is ChaosSweepWith under a context: both the golden
-// baseline grid and the scenario grid observe cancellation.
-func ChaosSweepCtx(ctx context.Context, r *harness.Runner, targets []string, n int, seed uint64, count int, wormhole bool) ([]ChaosRow, error) {
-	// buildEngine rebuilds the deterministic (target, options) pair, so a
-	// cell is a pure function of (target name, n, wormhole) plus its
-	// scenario.
-	buildEngine := func(name string) (*chaos.Engine, error) {
-		t, err := chaos.BuildTarget(name, n)
-		if err != nil {
-			return nil, err
-		}
-		opt := chaos.DefaultOptions()
-		opt.Wormhole = wormhole
-		if t.SafeRate > 0 {
-			opt.Rate = t.SafeRate
-		}
-		return chaos.New(t, opt)
+func ChaosSweep(ctx context.Context, r *harness.Runner, targets []string, n int, seed uint64, count int, wormhole bool) ([]ChaosRow, error) {
+	setups := make([]chaos.Setup, len(targets))
+	for i, name := range targets {
+		setups[i] = chaos.Setup{Target: name, N: n, Wormhole: wormhole, Seed: seed}
 	}
-
-	type series struct {
-		name, engine, optFP string
-		scs                 []chaos.Scenario
-	}
-	all := make([]series, 0, len(targets))
-	goldenCells := make([]harness.Cell[chaos.Verdict], 0, len(targets))
-	for _, name := range targets {
-		e, err := buildEngine(name)
-		if err != nil {
-			return nil, err
-		}
-		scs, err := chaos.Campaign(e.T.Graph, e.T.Layout, e.Opt.FaultWindow(), seed, count)
-		if err != nil {
-			return nil, err
-		}
-		optFP := harness.Fingerprint(fmt.Sprintf("%+v", e.Opt))
-		all = append(all, series{name: name, engine: e.Opt.EngineName(), optFP: optFP, scs: scs})
-		key := harness.NewKey("chaos-golden")
-		key.Topo, key.Switching = name, e.Opt.EngineName()
-		key.N, key.Rate, key.Seed = e.T.Graph.N(), e.Opt.Rate, e.Opt.Cfg.Seed
-		key.Params = []harness.Param{harness.P("opt", optFP)}
-		goldenCells = append(goldenCells, harness.Cell[chaos.Verdict]{Key: key, Run: func() (chaos.Verdict, error) {
-			ge, err := buildEngine(name)
-			if err != nil {
-				return chaos.Verdict{}, err
-			}
-			return ge.GoldenVerdict()
-		}})
-	}
-	goldens, err := harness.RunCtx(ctx, r, "chaos-golden", goldenCells)
+	g, err := chaos.NewGrid(setups, count)
 	if err != nil {
 		return nil, err
 	}
-
-	var cells []harness.Cell[chaos.Verdict]
-	for si, s := range all {
-		gv := goldens[si]
-		for _, sc := range s.scs {
-			key := harness.NewKey("chaos")
-			key.Topo, key.Switching = s.name, s.engine
-			key.N, key.Seed = n, sc.Seed
-			key.Params = []harness.Param{
-				harness.P("kind", sc.Kind.String()),
-				harness.P("plan", harness.FaultPlanFingerprint(sc.Plan)),
-				harness.P("opt", s.optFP),
-				harness.Pd("golden", gv.Result.DeliveredTotal),
-			}
-			cells = append(cells, harness.Cell[chaos.Verdict]{Key: key, Run: func() (chaos.Verdict, error) {
-				ge, err := buildEngine(s.name)
-				if err != nil {
-					return chaos.Verdict{}, err
-				}
-				ge.SetGolden(gv.Result, gv.Monitor)
-				return ge.RunScenario(sc)
-			}})
-		}
-	}
-	results, err := harness.RunCtx(ctx, r, "chaos", cells)
+	verdicts, err := g.Run(ctx, r)
 	if err != nil {
 		return nil, err
 	}
-
-	rows := make([]ChaosRow, 0, len(all))
-	i := 0
-	for si, s := range all {
-		verdicts := append([]chaos.Verdict{goldens[si]}, results[i:i+len(s.scs)]...)
-		i += len(s.scs)
+	rows := make([]ChaosRow, 0, len(verdicts))
+	for i, vs := range verdicts {
 		row := ChaosRow{
-			Target:     s.name,
-			Engine:     s.engine,
-			Scenarios:  len(verdicts),
+			Target:     targets[i],
+			Engine:     g.Engines[i].Opt.EngineName(),
+			Scenarios:  len(vs),
 			Violations: map[string]int{},
 		}
-		for _, v := range verdicts {
+		for _, v := range vs {
 			if v.OK() {
 				row.Clean++
 				continue

@@ -133,28 +133,23 @@ func assembleCollective(d *collectives.DAG, n, reps int, repResults []collective
 	return row
 }
 
+// CollectiveSweepWith is CollectiveSweep without a context, kept for
+// the perfbench module, whose parity tests call it.
+func CollectiveSweepWith(r *harness.Runner, cfg netsim.Config, sizes []int, collective, algo string,
+	chunkFlits, reps int, seed uint64) ([]CollectiveRow, error) {
+	return CollectiveSweep(context.Background(), r, cfg, sizes, collective, algo, chunkFlits, reps, seed)
+}
+
 // CollectiveSweep replays one collective workload on the three comparison
 // topologies under the adaptive router, plus the DSN-V custom source
 // routing, at each switch count in sizes. Repetitions permute the rank
 // placement; the workload itself is identical across topologies of equal
 // host count. Topology/size combinations the generator rejects (e.g.
 // halving-doubling on the non-power-of-two DSN-V host count) are skipped.
-func CollectiveSweep(cfg netsim.Config, sizes []int, collective, algo string,
-	chunkFlits, reps int, seed uint64) ([]CollectiveRow, error) {
-	return CollectiveSweepWith(harness.Default(), cfg, sizes, collective, algo, chunkFlits, reps, seed)
-}
-
-// CollectiveSweepWith is CollectiveSweep on an explicit harness runner.
 // All sizes, topologies and repetitions form one flat cell grid so the
 // worker pool stays busy across series boundaries; rows aggregate each
 // series' contiguous cell range in repetition order.
-func CollectiveSweepWith(r *harness.Runner, cfg netsim.Config, sizes []int, collective, algo string,
-	chunkFlits, reps int, seed uint64) ([]CollectiveRow, error) {
-	return CollectiveSweepCtx(context.Background(), r, cfg, sizes, collective, algo, chunkFlits, reps, seed)
-}
-
-// CollectiveSweepCtx is CollectiveSweepWith under a context.
-func CollectiveSweepCtx(ctx context.Context, r *harness.Runner, cfg netsim.Config, sizes []int, collective, algo string,
+func CollectiveSweep(ctx context.Context, r *harness.Runner, cfg netsim.Config, sizes []int, collective, algo string,
 	chunkFlits, reps int, seed uint64) ([]CollectiveRow, error) {
 	if reps < 1 {
 		return nil, fmt.Errorf("analysis: collective sweep needs >= 1 rep, got %d", reps)

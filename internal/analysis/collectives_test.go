@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -17,7 +18,7 @@ func collectiveCfg() netsim.Config {
 
 func TestCollectiveSweepSmall(t *testing.T) {
 	cfg := collectiveCfg()
-	rows, err := CollectiveSweep(cfg, []int{16}, "allgather", "ring", 16, 2, 1)
+	rows, err := CollectiveSweep(context.Background(), nil, cfg, []int{16}, "allgather", "ring", 16, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestCollectiveSweepSkipsUndefinedWorkloads(t *testing.T) {
 	cfg := collectiveCfg()
 	// dsnVFor(20) = 20 switches = 80 hosts: not a power of two, so the
 	// DSN-custom halving-doubling row must be skipped, not fail the sweep.
-	rows, err := CollectiveSweep(cfg, []int{16}, "allreduce", "halving-doubling", 8, 1, 1)
+	rows, err := CollectiveSweep(context.Background(), nil, cfg, []int{16}, "allreduce", "halving-doubling", 8, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +62,7 @@ func TestCollectiveSweepSkipsUndefinedWorkloads(t *testing.T) {
 
 func TestWriteCollectiveTable(t *testing.T) {
 	cfg := collectiveCfg()
-	rows, err := CollectiveSweep(cfg, []int{16}, "broadcast", "", 8, 1, 3)
+	rows, err := CollectiveSweep(context.Background(), nil, cfg, []int{16}, "broadcast", "", 8, 1, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,21 +37,11 @@ type faultTrialCell struct {
 }
 
 // FaultSweep removes a random fraction of links from each comparison
-// topology over several trials and measures the degradation.
-func FaultSweep(n int, fracs []float64, trials int, seed uint64) ([]FaultRow, error) {
-	return FaultSweepWith(harness.Default(), n, fracs, trials, seed)
-}
-
-// FaultSweepWith is FaultSweep on an explicit harness runner. The
+// topology over several trials and measures the degradation. The
 // fault-free baselines and every (fraction, topology, trial) damage
 // measurement are independent cells; rows aggregate the trial cells in
 // exactly the serial order, so the inflation sums are bit-identical.
-func FaultSweepWith(r *harness.Runner, n int, fracs []float64, trials int, seed uint64) ([]FaultRow, error) {
-	return FaultSweepCtx(context.Background(), r, n, fracs, trials, seed)
-}
-
-// FaultSweepCtx is FaultSweepWith under a context.
-func FaultSweepCtx(ctx context.Context, r *harness.Runner, n int, fracs []float64, trials int, seed uint64) ([]FaultRow, error) {
+func FaultSweep(ctx context.Context, r *harness.Runner, n int, fracs []float64, trials int, seed uint64) ([]FaultRow, error) {
 	if trials < 1 {
 		return nil, fmt.Errorf("analysis: fault sweep needs >= 1 trial, got %d", trials)
 	}
@@ -186,19 +176,9 @@ type DegradationRow struct {
 // each comparison topology and failed-link fraction it runs the VCT
 // simulator with the fault-aware adaptive router while RandomLinkFaults
 // kills links across the first half of the measurement window. Fraction
-// 0 rows are the fault-free baseline.
-func DegradationSweep(cfg netsim.Config, n int, fracs []float64, rate float64, seed uint64) ([]DegradationRow, error) {
-	return DegradationSweepWith(harness.Default(), cfg, n, fracs, rate, seed)
-}
-
-// DegradationSweepWith is DegradationSweep on an explicit harness
-// runner: one cell per (topology, fraction) live-fault simulation.
-func DegradationSweepWith(r *harness.Runner, cfg netsim.Config, n int, fracs []float64, rate float64, seed uint64) ([]DegradationRow, error) {
-	return DegradationSweepCtx(context.Background(), r, cfg, n, fracs, rate, seed)
-}
-
-// DegradationSweepCtx is DegradationSweepWith under a context.
-func DegradationSweepCtx(ctx context.Context, r *harness.Runner, cfg netsim.Config, n int, fracs []float64, rate float64, seed uint64) ([]DegradationRow, error) {
+// 0 rows are the fault-free baseline. Each (topology, fraction)
+// live-fault simulation is one cell.
+func DegradationSweep(ctx context.Context, r *harness.Runner, cfg netsim.Config, n int, fracs []float64, rate float64, seed uint64) ([]DegradationRow, error) {
 	cfgFP := harness.SimConfigFingerprint(cfg)
 	var cells []harness.Cell[DegradationRow]
 	for _, name := range Names {

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"context"
 	"math/rand/v2"
 	"reflect"
 	"strings"
@@ -12,7 +13,7 @@ import (
 // Property: a zero failure fraction must leave every topology fully
 // connected with no path inflation and no disconnected trials.
 func TestFaultSweepZeroFractionIsClean(t *testing.T) {
-	rows, err := FaultSweep(64, []float64{0}, 3, 5)
+	rows, err := FaultSweep(context.Background(), nil, 64, []float64{0}, 3, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,11 +32,11 @@ func TestFaultSweepZeroFractionIsClean(t *testing.T) {
 
 // Property: the sweep is a pure function of its seed.
 func TestFaultSweepDeterministic(t *testing.T) {
-	a, err := FaultSweep(64, []float64{0.05, 0.15}, 4, 9)
+	a, err := FaultSweep(context.Background(), nil, 64, []float64{0.05, 0.15}, 4, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := FaultSweep(64, []float64{0.05, 0.15}, 4, 9)
+	b, err := FaultSweep(context.Background(), nil, 64, []float64{0.05, 0.15}, 4, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestFaultSweepDeterministic(t *testing.T) {
 // pickFailures at a density where rejection sampling used to spin).
 func TestFaultSweepDisconnectedTrialsCounted(t *testing.T) {
 	trials := 4
-	rows, err := FaultSweep(64, []float64{0.9}, trials, 2)
+	rows, err := FaultSweep(context.Background(), nil, 64, []float64{0.9}, trials, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +95,7 @@ func TestPickFailures(t *testing.T) {
 // (no watchdog trips) with nonzero fault activity.
 func TestDegradationSweep(t *testing.T) {
 	cfg := simCfg()
-	rows, err := DegradationSweep(cfg, 64, []float64{0, 0.05}, 0.06, 1)
+	rows, err := DegradationSweep(context.Background(), nil, cfg, 64, []float64{0, 0.05}, 0.06, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func TestDegradationSweep(t *testing.T) {
 	if !strings.Contains(sb.String(), "rerouted") {
 		t.Fatal("degradation table header missing")
 	}
-	if _, err := DegradationSweep(netsim.Config{}, 64, []float64{0}, 0.06, 1); err == nil {
+	if _, err := DegradationSweep(context.Background(), nil, netsim.Config{}, 64, []float64{0}, 0.06, 1); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"context"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -30,27 +31,27 @@ func runAllSweeps(t *testing.T, r *harness.Runner) map[string]any {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lat, err := LatencySweepWith(r, cfg, d.Graph(), "DSN", "uniform", []float64{0.02, 0.06})
+	lat, err := LatencySweep(context.Background(), r, cfg, d.Graph(), "DSN", "uniform", []float64{0.02, 0.06})
 	if err != nil {
 		t.Fatalf("latency: %v", err)
 	}
-	faults, err := FaultSweepWith(r, 32, []float64{0.05}, 4, 1)
+	faults, err := FaultSweep(context.Background(), r, 32, []float64{0.05}, 4, 1)
 	if err != nil {
 		t.Fatalf("faults: %v", err)
 	}
-	coll, err := CollectiveSweepWith(r, cfg, []int{16}, "allgather", "ring", 16, 2, 1)
+	coll, err := CollectiveSweep(context.Background(), r, cfg, []int{16}, "allgather", "ring", 16, 2, 1)
 	if err != nil {
 		t.Fatalf("collective: %v", err)
 	}
-	chaos, err := ChaosSweepWith(r, []string{"torus"}, 36, 1, 2, false)
+	chaos, err := ChaosSweep(context.Background(), r, []string{"torus"}, 36, 1, 2, false)
 	if err != nil {
 		t.Fatalf("chaos: %v", err)
 	}
-	mp, err := MultipathSweepWith(r, cfg, 16, 0.05, 0.05, 1)
+	mp, err := MultipathSweep(context.Background(), r, cfg, 16, 0.05, 0.05, 1)
 	if err != nil {
 		t.Fatalf("multipath: %v", err)
 	}
-	div, err := DiversitySweepWith(r, 16, []int{2, 4}, 1)
+	div, err := DiversitySweep(context.Background(), r, 16, []int{2, 4}, 1)
 	if err != nil {
 		t.Fatalf("diversity: %v", err)
 	}

@@ -107,22 +107,9 @@ func latencyCells(cfg netsim.Config, g *graph.Graph, name, patternName string, r
 
 // LatencySweep runs the simulator across the given offered loads
 // (flits/cycle/host) for one topology graph using the paper's adaptive
-// routing with up*/down* escape.
-func LatencySweep(cfg netsim.Config, g *graph.Graph, name, patternName string, rates []float64) (LatencyCurve, error) {
-	return LatencySweepWith(harness.Default(), cfg, g, name, patternName, rates)
-}
-
-// LatencySweepWith is LatencySweep on an explicit harness runner: one
-// cell per offered load, executed on the runner's worker pool and
-// assembled in rate order (bit-identical to the serial sweep).
-func LatencySweepWith(r *harness.Runner, cfg netsim.Config, g *graph.Graph, name, patternName string, rates []float64) (LatencyCurve, error) {
-	return LatencySweepCtx(context.Background(), r, cfg, g, name, patternName, rates)
-}
-
-// LatencySweepCtx is LatencySweepWith under a context: cancellation or
-// deadline expiry stops dispatching cells (in-flight cells finish) and
-// the sweep returns ctx.Err() instead of a partial curve.
-func LatencySweepCtx(ctx context.Context, r *harness.Runner, cfg netsim.Config, g *graph.Graph, name, patternName string, rates []float64) (LatencyCurve, error) {
+// routing with up*/down* escape: one cell per offered load, assembled
+// in rate order.
+func LatencySweep(ctx context.Context, r *harness.Runner, cfg netsim.Config, g *graph.Graph, name, patternName string, rates []float64) (LatencyCurve, error) {
 	points, err := harness.RunCtx(ctx, r, "latency", latencyCells(cfg, g, name, patternName, rates))
 	if err != nil {
 		return LatencyCurve{}, err
@@ -130,23 +117,19 @@ func LatencySweepCtx(ctx context.Context, r *harness.Runner, cfg netsim.Config, 
 	return LatencyCurve{Topology: name, Pattern: patternName, Points: points}, nil
 }
 
+// Fig10CurvesWith is Fig10Curves without a context, kept for the
+// perfbench module, whose parity tests call it.
+func Fig10CurvesWith(r *harness.Runner, cfg netsim.Config, patternName string, rates []float64, seed uint64) ([]LatencyCurve, error) {
+	return Fig10Curves(context.Background(), r, cfg, patternName, rates, seed)
+}
+
 // Fig10Curves reproduces one subfigure of Figure 10: the three comparison
 // topologies at 64 switches under the named pattern, swept across offered
 // loads. Rates are flits/cycle/host; the paper's x axis (accepted
-// Gbit/s/host) is rate * 96 at the unsaturated points.
-func Fig10Curves(cfg netsim.Config, patternName string, rates []float64, seed uint64) ([]LatencyCurve, error) {
-	return Fig10CurvesWith(harness.Default(), cfg, patternName, rates, seed)
-}
-
-// Fig10CurvesWith runs the full subfigure as one flat cell grid
-// (topologies x rates), so the pool stays busy across topology
-// boundaries instead of draining at each curve.
-func Fig10CurvesWith(r *harness.Runner, cfg netsim.Config, patternName string, rates []float64, seed uint64) ([]LatencyCurve, error) {
-	return Fig10CurvesCtx(context.Background(), r, cfg, patternName, rates, seed)
-}
-
-// Fig10CurvesCtx is Fig10CurvesWith under a context.
-func Fig10CurvesCtx(ctx context.Context, r *harness.Runner, cfg netsim.Config, patternName string, rates []float64, seed uint64) ([]LatencyCurve, error) {
+// Gbit/s/host) is rate * 96 at the unsaturated points. The subfigure
+// runs as one flat cell grid (topologies x rates), so the pool stays
+// busy across topology boundaries instead of draining at each curve.
+func Fig10Curves(ctx context.Context, r *harness.Runner, cfg netsim.Config, patternName string, rates []float64, seed uint64) ([]LatencyCurve, error) {
 	graphs, err := BuildComparison(64, seed)
 	if err != nil {
 		return nil, err

@@ -95,20 +95,9 @@ func mpRouter(scheme string, g *graph.Graph, dsnCustom func() (netsim.Router, er
 // (see MultipathSchemes) on the three comparison topologies under the
 // hotspot, live-fault and collective workloads. rate is the offered load
 // for the open-loop workloads (flits/cycle/host); frac is the fault
-// workload's failed-link fraction.
-func MultipathSweep(cfg netsim.Config, n int, rate, frac float64, seed uint64) ([]MultipathRow, error) {
-	return MultipathSweepWith(harness.Default(), cfg, n, rate, frac, seed)
-}
-
-// MultipathSweepWith is MultipathSweep on an explicit harness runner:
-// one cell per (topology, scheme, workload) simulation, assembled in
-// exactly the serial order.
-func MultipathSweepWith(r *harness.Runner, cfg netsim.Config, n int, rate, frac float64, seed uint64) ([]MultipathRow, error) {
-	return MultipathSweepCtx(context.Background(), r, cfg, n, rate, frac, seed)
-}
-
-// MultipathSweepCtx is MultipathSweepWith under a context.
-func MultipathSweepCtx(ctx context.Context, r *harness.Runner, cfg netsim.Config, n int, rate, frac float64, seed uint64) ([]MultipathRow, error) {
+// workload's failed-link fraction. Each (topology, scheme, workload)
+// simulation is one cell, assembled in exactly the serial order.
+func MultipathSweep(ctx context.Context, r *harness.Runner, cfg netsim.Config, n int, rate, frac float64, seed uint64) ([]MultipathRow, error) {
 	if frac < 0 || frac >= 1 {
 		return nil, fmt.Errorf("analysis: fail fraction %g outside [0,1)", frac)
 	}
@@ -275,17 +264,7 @@ type DiversityRow struct {
 // counts against the Menger min-cut bound — for each comparison topology
 // at each k. This is the static headroom analysis behind the multipath
 // sweep: a pair's min cut bounds how many paths spraying can ever use.
-func DiversitySweep(n int, ks []int, seed uint64) ([]DiversityRow, error) {
-	return DiversitySweepWith(harness.Default(), n, ks, seed)
-}
-
-// DiversitySweepWith is DiversitySweep on an explicit harness runner.
-func DiversitySweepWith(r *harness.Runner, n int, ks []int, seed uint64) ([]DiversityRow, error) {
-	return DiversitySweepCtx(context.Background(), r, n, ks, seed)
-}
-
-// DiversitySweepCtx is DiversitySweepWith under a context.
-func DiversitySweepCtx(ctx context.Context, r *harness.Runner, n int, ks []int, seed uint64) ([]DiversityRow, error) {
+func DiversitySweep(ctx context.Context, r *harness.Runner, n int, ks []int, seed uint64) ([]DiversityRow, error) {
 	var cells []harness.Cell[DiversityRow]
 	for _, name := range Names {
 		name := name

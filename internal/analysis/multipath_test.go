@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -15,7 +16,7 @@ func TestMultipathSweepShape(t *testing.T) {
 		t.Skip("runs full (if small) simulations")
 	}
 	cfg := harnessCfg()
-	rows, err := MultipathSweepWith(harness.Serial(), cfg, 16, 0.05, 0.05, 1)
+	rows, err := MultipathSweep(context.Background(), harness.Serial(), cfg, 16, 0.05, 0.05, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestMultipathSweepShape(t *testing.T) {
 // realized disjoint path count never exceeds the Menger min cut, and
 // raising k can only raise the realized mean.
 func TestDiversitySweepBounds(t *testing.T) {
-	rows, err := DiversitySweepWith(harness.Serial(), 16, []int{2, 4}, 1)
+	rows, err := DiversitySweep(context.Background(), harness.Serial(), 16, []int{2, 4}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,41 +51,22 @@ var RecoveryModes = []string{"off", "recover", "recover+drain"}
 // 0), and that false-positive overhead is part of the cost the table
 // reports. The conservative recovery.Default() tuning is the one with
 // the bit-identity guarantee.
-func RecoverySweep(target string, n int, seed uint64, fracs []float64, wormhole bool) ([]RecoveryRow, error) {
-	return RecoverySweepWith(harness.Default(), target, n, seed, fracs, wormhole)
-}
-
-// RecoverySweepWith is RecoverySweep on an explicit harness runner.
-func RecoverySweepWith(r *harness.Runner, target string, n int, seed uint64, fracs []float64, wormhole bool) ([]RecoveryRow, error) {
-	return RecoverySweepCtx(context.Background(), r, target, n, seed, fracs, wormhole)
-}
-
-// RecoverySweepCtx is RecoverySweepWith under a context.
-func RecoverySweepCtx(ctx context.Context, r *harness.Runner, target string, n int, seed uint64, fracs []float64, wormhole bool) ([]RecoveryRow, error) {
+func RecoverySweep(ctx context.Context, r *harness.Runner, target string, n int, seed uint64, fracs []float64, wormhole bool) ([]RecoveryRow, error) {
 	for _, frac := range fracs {
 		if frac < 0 || frac >= 1 {
 			return nil, fmt.Errorf("analysis: fail fraction %g outside [0,1)", frac)
 		}
 	}
-	// buildEngine rebuilds the deterministic (target, options) pair per
-	// cell; the detector tuning is the corpus-replay one so recovery
+	// The armed modes use the corpus-replay detector tuning so recovery
 	// engages well inside the watchdog horizon.
 	buildEngine := func(mode string) (*chaos.Engine, error) {
-		t, err := chaos.BuildTarget(target, n)
-		if err != nil {
-			return nil, err
-		}
-		opt := chaos.DefaultOptions()
-		opt.Wormhole = wormhole
-		if t.SafeRate > 0 {
-			opt.Rate = t.SafeRate
-		}
+		s := chaos.Setup{Target: target, N: n, Wormhole: wormhole}
 		if mode != "off" {
-			opt.Recover = true
-			opt.Recovery = chaos.RecoveredReplayConfig()
-			opt.Recovery.DrainOnFault = mode == "recover+drain"
+			rc := chaos.RecoveredReplayConfig()
+			rc.DrainOnFault = mode == "recover+drain"
+			s.Recovery = &rc
 		}
-		return chaos.New(t, opt)
+		return s.Engine()
 	}
 	probe, err := buildEngine("off")
 	if err != nil {

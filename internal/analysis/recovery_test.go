@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -18,7 +19,7 @@ func TestRecoverySweepModesAndIdentity(t *testing.T) {
 		t.Skip("recovery-cost sweep runs full simulations; skipped in -short or -race mode")
 	}
 	fracs := []float64{0, 0.04}
-	rows, err := RecoverySweep("dsn-v-custom", 36, 3, fracs, false)
+	rows, err := RecoverySweep(context.Background(), nil, "dsn-v-custom", 36, 3, fracs, false)
 	if err != nil {
 		t.Fatal(err)
 	}

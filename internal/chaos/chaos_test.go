@@ -1,12 +1,14 @@
 package chaos
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
+	"dsnet/internal/harness"
 	"dsnet/internal/layout"
 	"dsnet/internal/netsim"
 )
@@ -178,31 +180,29 @@ func TestBuildTargetNames(t *testing.T) {
 	}
 }
 
-// TestCampaignHealthyTorus runs a small real campaign on a healthy
-// target through both engines: every verdict must be clean.
+// TestCampaignHealthyTorus runs a small real campaign grid on a healthy
+// target through both engines: every verdict must be clean, and each
+// setup's verdicts start with its golden baseline.
 func TestCampaignHealthyTorus(t *testing.T) {
 	if testing.Short() || raceDetectorEnabled {
 		t.Skip("full chaos campaign in -short or -race mode")
 	}
-	tgt := torusTarget(t, 16)
-	for _, wormhole := range []bool{false, true} {
-		opt := DefaultOptions()
-		opt.Wormhole = wormhole
-		opt.Cfg.WarmupCycles = 3000
-		opt.Cfg.MeasureCycles = 6000
-		e, err := New(tgt, opt)
-		if err != nil {
-			t.Fatal(err)
+	g, err := NewGrid([]Setup{
+		{Target: "torus", N: 16, Seed: 1},
+		{Target: "torus", N: 16, Seed: 1, Wormhole: true},
+	}, int(numKinds))
+	if err != nil {
+		t.Fatal(err)
+	}
+	verdicts, err := g.Run(context.Background(), harness.Serial())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, vs := range verdicts {
+		if len(vs) != int(numKinds)+1 || vs[0].Scenario.Kind != GoldenKind {
+			t.Fatalf("setup %d: %d verdicts, first %s; want golden plus %d scenarios", i, len(vs), vs[0].Scenario, numKinds)
 		}
-		scs, err := Campaign(tgt.Graph, e.T.Layout, e.Opt.FaultWindow(), 1, int(numKinds))
-		if err != nil {
-			t.Fatal(err)
-		}
-		verdicts, err := e.RunCampaign(scs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, v := range verdicts {
+		for _, v := range vs {
 			if !v.OK() {
 				t.Errorf("%s", v)
 			}

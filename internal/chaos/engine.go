@@ -306,24 +306,6 @@ func (e *Engine) GoldenVerdict() (Verdict, error) {
 	return v, nil
 }
 
-// RunCampaign runs the zero-fault golden baseline followed by every
-// scenario, and returns all verdicts (golden first).
-func (e *Engine) RunCampaign(scs []Scenario) ([]Verdict, error) {
-	gv, err := e.GoldenVerdict()
-	if err != nil {
-		return nil, err
-	}
-	out := []Verdict{gv}
-	for _, sc := range scs {
-		v, err := e.RunScenario(sc)
-		if err != nil {
-			return out, err
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
 // ShrinkPlan delta-debugs a failing plan down to a minimal event list
 // that still trips the same monitor (engine-level reconvergence
 // verdicts shrink against the same check). It returns the shrunk plan

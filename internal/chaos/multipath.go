@@ -7,6 +7,13 @@ import (
 	"dsnet/internal/netsim"
 )
 
+// Arm selects the k-shortest-path spraying router for a target: K
+// edge-disjoint paths per pair under Selector (see ArmMultipath).
+type Arm struct {
+	K        int
+	Selector multipath.Selector
+}
+
 // ArmMultipath rebuilds the target around the k-shortest-path spraying
 // router: same graph, same monitors and TTL bound, but every packet now
 // source-routes over the sprayed path set with the VC0 up*/down* escape
@@ -24,31 +31,4 @@ func ArmMultipath(t Target, k int, sel multipath.Selector, vcs int, seed uint64)
 		return multipath.New(base, multipath.Config{K: k, VCs: vcs, Selector: sel, Seed: seed})
 	}
 	return armed, nil
-}
-
-// RunRecoveredArmed is RunRecovered with the spraying router swapped in:
-// the reproducer's fault plan replays against the multipath-armed target
-// so the corpus doubles as a regression for dead-link re-spray plus
-// escape-path recovery.
-func (r *Repro) RunRecoveredArmed(engine string, drain bool, k int, sel multipath.Selector) (Verdict, error) {
-	e, err := r.engine()
-	if err != nil {
-		return Verdict{}, err
-	}
-	armed, err := ArmMultipath(e.T, k, sel, e.Opt.Cfg.VCs, r.Seed)
-	if err != nil {
-		return Verdict{}, err
-	}
-	e.T = armed
-	switch engine {
-	case "":
-	case "vct", "wormhole":
-		e.Opt.Wormhole = engine == "wormhole"
-	default:
-		return Verdict{}, fmt.Errorf("chaos: unknown engine override %q (want vct or wormhole)", engine)
-	}
-	e.Opt.Recover = true
-	e.Opt.Recovery = RecoveredReplayConfig()
-	e.Opt.Recovery.DrainOnFault = drain
-	return e.RunScenario(Scenario{Kind: -1, Seed: r.Seed, Plan: netsim.NewFaultPlan(r.Events...)})
 }

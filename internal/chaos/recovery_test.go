@@ -37,7 +37,7 @@ func TestReproCorpusRecovered(t *testing.T) {
 			}
 			for _, engine := range []string{"vct", "wormhole"} {
 				for _, drain := range []bool{false, true} {
-					v, err := r.RunRecovered(engine, drain)
+					v, err := r.RunRecovered(engine, drain, nil)
 					if err != nil {
 						t.Fatalf("%s drain=%v: %v", engine, drain, err)
 					}

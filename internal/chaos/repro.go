@@ -293,11 +293,19 @@ func RecoveredReplayConfig() recovery.Config {
 // reconfigure) on the given engine ("" keeps the recorded one) and
 // returns the full verdict: a reproducer that deadlocks its fabric
 // without recovery must come back clean with DeadlocksRecovered > 0
-// when recovery is on.
-func (r *Repro) RunRecovered(engine string, drain bool) (Verdict, error) {
+// when recovery is on. A non-nil arm replays against the target armed
+// with the spraying router (seeded with the reproducer's seed), so the
+// corpus doubles as a regression for dead-link re-spray plus
+// escape-path recovery.
+func (r *Repro) RunRecovered(engine string, drain bool, arm *Arm) (Verdict, error) {
 	e, err := r.engine()
 	if err != nil {
 		return Verdict{}, err
+	}
+	if arm != nil {
+		if e.T, err = ArmMultipath(e.T, arm.K, arm.Selector, e.Opt.Cfg.VCs, r.Seed); err != nil {
+			return Verdict{}, err
+		}
 	}
 	switch engine {
 	case "":

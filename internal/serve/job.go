@@ -258,25 +258,25 @@ func (q *Request) run(ctx context.Context, r *harness.Runner) (any, error) {
 	}
 	switch q.Family {
 	case "path":
-		return analysis.PathSweepCtx(ctx, r, q.LogSizes, q.Seeds)
+		return analysis.PathSweep(ctx, r, q.LogSizes, q.Seeds)
 	case "cable":
-		return analysis.CableSweepCtx(ctx, r, q.LogSizes, q.Seeds, layout.DefaultConfig())
+		return analysis.CableSweep(ctx, r, q.LogSizes, q.Seeds, layout.DefaultConfig())
 	case "latency":
 		g, err := analysis.BuildTopology(q.Topo, q.N, q.Seed)
 		if err != nil {
 			return nil, err
 		}
-		return analysis.LatencySweepCtx(ctx, r, q.simConfig(), g, q.Topo, q.Pattern, q.Rates)
+		return analysis.LatencySweep(ctx, r, q.simConfig(), g, q.Topo, q.Pattern, q.Rates)
 	case "fig10":
-		return analysis.Fig10CurvesCtx(ctx, r, q.simConfig(), q.Pattern, q.Rates, q.Seed)
+		return analysis.Fig10Curves(ctx, r, q.simConfig(), q.Pattern, q.Rates, q.Seed)
 	case "fault":
-		return analysis.FaultSweepCtx(ctx, r, q.N, q.Fracs, q.Trials, q.Seed)
+		return analysis.FaultSweep(ctx, r, q.N, q.Fracs, q.Trials, q.Seed)
 	case "degradation":
-		return analysis.DegradationSweepCtx(ctx, r, q.simConfig(), q.N, q.Fracs, q.Rate, q.Seed)
+		return analysis.DegradationSweep(ctx, r, q.simConfig(), q.N, q.Fracs, q.Rate, q.Seed)
 	case "collective":
-		return analysis.CollectiveSweepCtx(ctx, r, q.simConfig(), q.Sizes, q.Collective, q.Algo, q.ChunkFlits, q.Reps, q.Seed)
+		return analysis.CollectiveSweep(ctx, r, q.simConfig(), q.Sizes, q.Collective, q.Algo, q.ChunkFlits, q.Reps, q.Seed)
 	case "chaos":
-		return analysis.ChaosSweepCtx(ctx, r, q.Targets, q.N, q.Seed, q.Scenarios, q.Wormhole)
+		return analysis.ChaosSweep(ctx, r, q.Targets, q.N, q.Seed, q.Scenarios, q.Wormhole)
 	}
 	return nil, fmt.Errorf("serve: unreachable family %q", q.Family)
 }
