@@ -26,10 +26,10 @@ type ChaosRow struct {
 
 // ChaosSweep runs a campaign of count scenarios (plus the zero-fault
 // golden baseline) against each named target (chaos.BuildTarget names)
-// through the given simulator engine, as one chaos.Grid on r (nil:
-// harness.Default()); cancelling ctx stops both of its grids.
-// Campaign generation and every simulation are seeded, so a row is
-// reproducible from (target, n, seed, count, wormhole) alone.
+// through the given simulator engine, as one chaos.Grid: the golden
+// cells first, then every scenario cell. Campaign generation and every
+// simulation are seeded, so a row is reproducible from (target, n,
+// seed, count, wormhole) alone.
 func ChaosSweep(ctx context.Context, r *harness.Runner, targets []string, n int, seed uint64, count int, wormhole bool) ([]ChaosRow, error) {
 	setups := make([]chaos.Setup, len(targets))
 	for i, name := range targets {

@@ -133,13 +133,6 @@ func assembleCollective(d *collectives.DAG, n, reps int, repResults []collective
 	return row
 }
 
-// CollectiveSweepWith is CollectiveSweep without a context, kept for
-// the perfbench module, whose parity tests call it.
-func CollectiveSweepWith(r *harness.Runner, cfg netsim.Config, sizes []int, collective, algo string,
-	chunkFlits, reps int, seed uint64) ([]CollectiveRow, error) {
-	return CollectiveSweep(context.Background(), r, cfg, sizes, collective, algo, chunkFlits, reps, seed)
-}
-
 // CollectiveSweep replays one collective workload on the three comparison
 // topologies under the adaptive router, plus the DSN-V custom source
 // routing, at each switch count in sizes. Repetitions permute the rank
@@ -207,6 +200,13 @@ func CollectiveSweep(ctx context.Context, r *harness.Runner, cfg netsim.Config, 
 		rows = append(rows, row)
 	}
 	return rows, nil
+}
+
+// CollectiveSweepWith is CollectiveSweep without a context, kept for
+// the perfbench module, whose parity tests call it.
+func CollectiveSweepWith(r *harness.Runner, cfg netsim.Config, sizes []int, collective, algo string,
+	chunkFlits, reps int, seed uint64) ([]CollectiveRow, error) {
+	return CollectiveSweep(context.TODO(), r, cfg, sizes, collective, algo, chunkFlits, reps, seed)
 }
 
 // WriteCollectiveTable renders a collective sweep as a plain-text table.

@@ -117,12 +117,6 @@ func LatencySweep(ctx context.Context, r *harness.Runner, cfg netsim.Config, g *
 	return LatencyCurve{Topology: name, Pattern: patternName, Points: points}, nil
 }
 
-// Fig10CurvesWith is Fig10Curves without a context, kept for the
-// perfbench module, whose parity tests call it.
-func Fig10CurvesWith(r *harness.Runner, cfg netsim.Config, patternName string, rates []float64, seed uint64) ([]LatencyCurve, error) {
-	return Fig10Curves(context.Background(), r, cfg, patternName, rates, seed)
-}
-
 // Fig10Curves reproduces one subfigure of Figure 10: the three comparison
 // topologies at 64 switches under the named pattern, swept across offered
 // loads. Rates are flits/cycle/host; the paper's x axis (accepted
@@ -151,6 +145,12 @@ func Fig10Curves(ctx context.Context, r *harness.Runner, cfg netsim.Config, patt
 		})
 	}
 	return curves, nil
+}
+
+// Fig10CurvesWith is Fig10Curves without a context, kept for the
+// perfbench module, whose parity tests call it.
+func Fig10CurvesWith(r *harness.Runner, cfg netsim.Config, patternName string, rates []float64, seed uint64) ([]LatencyCurve, error) {
+	return Fig10Curves(context.TODO(), r, cfg, patternName, rates, seed)
 }
 
 // WriteLatencyTable renders latency curves as plain-text series in the

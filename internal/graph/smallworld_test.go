@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/rand/v2"
+	"runtime"
 	"testing"
 )
 
@@ -156,6 +157,32 @@ func TestEdgeBetweennessStarBottleneck(t *testing.T) {
 	for _, v := range bc {
 		if math.Abs(v-8.0/20) > 1e-9 {
 			t.Fatalf("star betweenness %v, want 0.4", bc)
+		}
+	}
+}
+
+// TestEdgeBetweennessDeterministic requires identical bits from every
+// run, whatever the scheduling and the worker count: on a ring with
+// random chords, floating-point sums merged in a schedule-dependent
+// order differ in their last bits from run to run.
+func TestEdgeBetweennessDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 3))
+	g := ring(200)
+	for k := 0; k < 300; k++ {
+		u, v := rng.IntN(200), rng.IntN(200)
+		if u != v {
+			g.AddEdgeOnce(u, v, KindRandom)
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	want := g.EdgeBetweenness()
+	runtime.GOMAXPROCS(4)
+	for run := 0; run < 20; run++ {
+		got := g.EdgeBetweenness()
+		for e := range want {
+			if math.Float64bits(got[e]) != math.Float64bits(want[e]) {
+				t.Fatalf("run %d at GOMAXPROCS 4: edge %d betweenness %v, want %v as at GOMAXPROCS 1", run, e, got[e], want[e])
+			}
 		}
 	}
 }

@@ -10,9 +10,9 @@ import (
 	"time"
 )
 
-// Runner executes sweep cells. The zero value runs cells serially with
-// no cache and no bench recording; Default returns the parallel
-// configuration the CLIs use.
+// Runner executes sweep cells. The zero value runs cells on GOMAXPROCS
+// workers with no cache and no bench recording; it is what Default
+// returns, and what a nil *Runner runs as.
 type Runner struct {
 	// Jobs bounds the worker pool. <= 0 selects GOMAXPROCS.
 	Jobs int
@@ -28,9 +28,9 @@ type Runner struct {
 	Progress func(sweep string, done, total int)
 }
 
-// Default returns a Runner that saturates the machine: one worker per
-// CPU, no cache, no bench. Parallel assembly is deterministic, so this
-// is safe as the library-wide default.
+// Default returns the zero Runner: GOMAXPROCS workers, no cache, no
+// bench. Parallel assembly is deterministic, so this is safe as the
+// library-wide default.
 func Default() *Runner { return &Runner{} }
 
 // Serial returns a single-worker Runner — the reference execution that

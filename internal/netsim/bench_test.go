@@ -40,7 +40,7 @@ func simCycleCases(tb testing.TB) []simCycleCase {
 	}
 	torCfg := netsim.Default()
 	torCfg.WarmupCycles, torCfg.MeasureCycles, torCfg.DrainCycles = 1000, 3000, 2000
-	cases := []simCycleCase{openLoopCase(tb, "torus8x8/load=0.1", torCfg, tor.Graph(), 0.1, 11424)}
+	cases := []simCycleCase{openLoopCase(tb, "torus8x8/load=0.1", torCfg, tor.Graph(), 0.1, 7054)}
 
 	dsn64, err := core.New(64, core.CeilLog2(64)-1)
 	if err != nil {
@@ -51,7 +51,7 @@ func simCycleCases(tb testing.TB) []simCycleCase {
 	for _, l := range []struct {
 		rate   float64
 		allocs uint64
-	}{{0.01, 2500}, {0.08, 14174}, {0.15, 25976}} {
+	}{{0.01, 2000}, {0.08, 8347}, {0.15, 14829}} {
 		cases = append(cases, openLoopCase(tb, fmt.Sprintf("dsn64/load=%g", l.rate), fig10, dsn64.Graph(), l.rate, l.allocs))
 	}
 
@@ -64,7 +64,7 @@ func simCycleCases(tb testing.TB) []simCycleCase {
 	}
 	pat64 := traffic.Uniform{Hosts: g64.N() * worm.HostsPerSwitch}
 	cases = append(cases, simCycleCase{
-		name: "worm-dsn64/load=0.08", switches: g64.N(), allocs: 13220,
+		name: "worm-dsn64/load=0.08", switches: g64.N(), allocs: 7318,
 		build:  func() (*netsim.Sim, error) { return netsim.NewWormSim(worm, g64, rt64, pat64, 0.08) },
 		cycles: schedule(worm),
 	})
@@ -81,7 +81,7 @@ func simCycleCases(tb testing.TB) []simCycleCase {
 	rec.WarmupCycles, rec.MeasureCycles, rec.DrainCycles = 2000, 8000, 10000
 	patV := traffic.Uniform{Hosts: dv.N * rec.HostsPerSwitch}
 	cases = append(cases, simCycleCase{
-		name: "worm-dsnv36/rate=0.02/recover", switches: dv.N, allocs: 4164,
+		name: "worm-dsnv36/rate=0.02/recover", switches: dv.N, allocs: 2615,
 		build: func() (*netsim.Sim, error) {
 			s, err := netsim.NewWormSim(rec, dv.Graph(), srcRouted, patV, 0.02)
 			if err != nil {
@@ -107,7 +107,7 @@ func simCycleCases(tb testing.TB) []simCycleCase {
 		tb.Fatal(err)
 	}
 	return append(cases, simCycleCase{
-		name: "allreduce-hd/dsn16", switches: d16.N, allocs: 13715,
+		name: "allreduce-hd/dsn16", switches: d16.N, allocs: 12919,
 		build:  func() (*netsim.Sim, error) { return netsim.NewSimReplay(cfg, d16.Graph(), rt16, replay) },
 		cycles: func(res netsim.Result) int64 { return res.MakespanCycles },
 	})

@@ -224,9 +224,8 @@ func (s *Sim) SetReplay(r *Replay) error {
 // releaseReady converts the messages whose dependencies are all
 // delivered into packets on their source-host queues.
 func (s *Sim) releaseReady() {
-	for len(s.rep.ready) > 0 {
-		mi := s.rep.ready[0]
-		s.rep.ready = s.rep.ready[1:]
+	for i := 0; i < len(s.rep.ready); i++ {
+		mi := s.rep.ready[i]
 		m := &s.rep.r.Messages[mi]
 		for k := int32(0); k < s.rep.packets[mi]; k++ {
 			p := s.newPacket(m.SrcHost, m.DstHost, mi, true)
@@ -236,6 +235,8 @@ func (s *Sim) releaseReady() {
 		}
 		s.lastProgress = s.now
 	}
+	// Emptied, the list keeps its array for the next release.
+	s.rep.ready = s.rep.ready[:0]
 }
 
 // NewSimReplay builds a VCT simulation executing the closed-loop

@@ -810,6 +810,19 @@ func (s *Sim) queueHost(h int32, p *packet) {
 	s.hostWork[h>>6] |= 1 << (h & 63)
 }
 
+// popHost removes and returns the head of host h's queue. A pop that
+// empties the queue keeps its array, so the next queueHost does not
+// allocate.
+func (s *Sim) popHost(h int) *packet {
+	q := s.hostQ[h]
+	if len(q) == 1 {
+		s.hostQ[h] = q[:0]
+	} else {
+		s.hostQ[h] = q[1:]
+	}
+	return q[0]
+}
+
 // hostIdle removes host h from the hosts driveHosts visits.
 func (s *Sim) hostIdle(h int32) {
 	s.hostWork[h>>6] &^= 1 << (h & 63)

@@ -227,8 +227,7 @@ func (s *vct) driveHosts() {
 		if bestVC < 0 {
 			continue
 		}
-		p := s.hostQ[h][0]
-		s.hostQ[h] = s.hostQ[h][1:]
+		p := s.popHost(h)
 		if len(s.hostQ[h]) == 0 {
 			s.hostIdle(hi)
 		}

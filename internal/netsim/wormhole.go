@@ -163,8 +163,7 @@ func (s *worm) driveHosts() {
 			for vc := 0; vc < vcs; vc++ {
 				slot := s.slot(c, int8(vc))
 				if s.slotPkt[slot] == nil {
-					p := s.hostQ[h][0]
-					s.hostQ[h] = s.hostQ[h][1:]
+					p := s.popHost(h)
 					s.hostCur[h] = p
 					s.hostSlot[h] = slot
 					s.hostInjected[h] = 0
