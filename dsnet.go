@@ -338,7 +338,8 @@ func NewHotspot(hosts, hot int, fraction float64) TrafficPattern {
 	return traffic.Hotspot{Hosts: hosts, Hot: hot, Fraction: fraction}
 }
 
-// Experiment drivers (Figures 7-10).
+// Experiment drivers (Figures 7-10). The sweeps take a context and a
+// runner first; a nil runner runs on DefaultSweepRunner().
 var (
 	BuildComparison       = analysis.BuildComparison
 	PathSweep             = analysis.PathSweep

@@ -57,8 +57,6 @@ func RecoverySweep(ctx context.Context, r *harness.Runner, target string, n int,
 			return nil, fmt.Errorf("analysis: fail fraction %g outside [0,1)", frac)
 		}
 	}
-	// The armed modes use the corpus-replay detector tuning so recovery
-	// engages well inside the watchdog horizon.
 	buildEngine := func(mode string) (*chaos.Engine, error) {
 		s := chaos.Setup{Target: target, N: n, Wormhole: wormhole}
 		if mode != "off" {
