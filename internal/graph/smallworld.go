@@ -89,14 +89,12 @@ func (g *Graph) EdgeBetweenness() []float64 {
 	nBlocks := (g.n + size - 1) / size
 	partials := make([][]float64, nBlocks)
 	nWorkers := min(runtime.GOMAXPROCS(0), nBlocks)
+	blocks := make(chan int, nBlocks)
+	for b := 0; b < nBlocks; b++ {
+		blocks <- b
+	}
+	close(blocks)
 	var wg sync.WaitGroup
-	blocks := make(chan int, nWorkers)
-	go func() {
-		for b := 0; b < nBlocks; b++ {
-			blocks <- b
-		}
-		close(blocks)
-	}()
 	for w := 0; w < nWorkers; w++ {
 		wg.Add(1)
 		go func() {
