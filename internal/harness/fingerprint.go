@@ -29,6 +29,12 @@ func finish(h hash.Hash) string {
 // the catch-all for configuration structs without a dedicated
 // fingerprint. Callers must render the values deterministically
 // (fmt's %v/%+v on structs and slices is; maps are not).
+//
+// Each value is printed as fmt.Fprintln prints it, so a value with a
+// String method is digested through that method alone: netsim.Result's
+// String shows five of its fields, and a change to any other field
+// leaves the digest unchanged. To digest every field, pass
+// fmt.Sprintf("%#v", v), which ignores String.
 func Fingerprint(vs ...any) string {
 	h := sha256.New()
 	fmt.Fprintln(h, vs...)
