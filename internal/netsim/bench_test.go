@@ -40,7 +40,7 @@ func simCycleCases(tb testing.TB) []simCycleCase {
 	}
 	torCfg := netsim.Default()
 	torCfg.WarmupCycles, torCfg.MeasureCycles, torCfg.DrainCycles = 1000, 3000, 2000
-	cases := []simCycleCase{openLoopCase(tb, "torus8x8/load=0.1", torCfg, tor.Graph(), 0.1, 7054)}
+	cases := []simCycleCase{openLoopCase(tb, "torus8x8/load=0.1", torCfg, tor.Graph(), 0.1, 7051)}
 
 	dsn64, err := core.New(64, core.CeilLog2(64)-1)
 	if err != nil {
@@ -51,7 +51,7 @@ func simCycleCases(tb testing.TB) []simCycleCase {
 	for _, l := range []struct {
 		rate   float64
 		allocs uint64
-	}{{0.01, 2000}, {0.08, 8347}, {0.15, 14829}} {
+	}{{0.01, 1997}, {0.08, 8344}, {0.15, 14826}} {
 		cases = append(cases, openLoopCase(tb, fmt.Sprintf("dsn64/load=%g", l.rate), fig10, dsn64.Graph(), l.rate, l.allocs))
 	}
 
@@ -107,7 +107,7 @@ func simCycleCases(tb testing.TB) []simCycleCase {
 		tb.Fatal(err)
 	}
 	return append(cases, simCycleCase{
-		name: "allreduce-hd/dsn16", switches: d16.N, allocs: 12919,
+		name: "allreduce-hd/dsn16", switches: d16.N, allocs: 12916,
 		build:  func() (*netsim.Sim, error) { return netsim.NewSimReplay(cfg, d16.Graph(), rt16, replay) },
 		cycles: func(res netsim.Result) int64 { return res.MakespanCycles },
 	})

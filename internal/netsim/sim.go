@@ -108,9 +108,14 @@ type flowControl interface {
 	driveHosts()
 	// arrive lands an evArrive event in its input VC.
 	arrive(ev wheelEv)
+	// credit returns amt credits to (channel, VC) vcIdx.
+	credit(vcIdx, amt int32)
 	// allocate routes waiting heads and moves packets or flits through
 	// the switches for one cycle.
 	allocate()
+	// wakeAll starts a routing epoch: everything waiting on the old
+	// routes, death masks or credits is woken.
+	wakeAll()
 	// faultEpoch scrubs the in-flight state a fault epoch invalidated;
 	// revived lists the channels a repair just brought back.
 	faultEpoch(revived []int32)
@@ -123,6 +128,8 @@ type flowControl interface {
 	// auditFlits checks the engine's flit books (recovery and the
 	// conservation monitor armed).
 	auditFlits()
+	// finish settles what the engine owes the Result when Run returns.
+	finish()
 }
 
 // Sim is a single simulation instance: one topology, one routing
@@ -171,13 +178,9 @@ type Sim struct {
 	// hostWork is the set of hosts driveHosts visits, one bit per host: a
 	// host with a queued packet, or under wormhole a worm still streaming
 	// in. queueHost, the only way onto a host queue, adds the host; the
-	// engines remove it when it runs out of work.
+	// engines remove it when it runs out of work, and VCT also while it
+	// cannot inject (DESIGN.md §8).
 	hostWork []uint64
-
-	// park is the VCT allocator's parking state (DESIGN.md §8). It lives
-	// in the fabric because returning credits, which wake parked heads,
-	// land in processEvents. Empty under wormhole.
-	park parking
 
 	// wheel is sized at Run start (start); linkDelay holds the
 	// per-channel wire delay in cycles (indexable by directed channel):
@@ -577,11 +580,18 @@ func (s *Sim) Run() (Result, error) {
 	if err := s.started("Run"); err != nil {
 		return Result{}, err
 	}
+	err := s.run()
+	s.fc.finish()
+	return s.result(), err
+}
+
+// run is Run's cycle loop and end-of-run checks.
+func (s *Sim) run() error {
 	end, watchdog := s.start()
 	for s.now = 0; s.now < end; s.now++ {
 		s.cycle()
 		if s.violation != nil {
-			return s.result(), s.violation
+			return s.violation
 		}
 		if s.rep != nil && s.inFlight == 0 {
 			// All released packets drained and inject() released every
@@ -591,7 +601,7 @@ func (s *Sim) Run() (Result, error) {
 		}
 		if s.inFlight > 0 && s.now-s.lastProgress > watchdog {
 			s.watchdogTripped = true
-			return s.result(), &NoProgressError{Cycle: s.now, InFlight: s.inFlight, WatchdogCycles: watchdog}
+			return &NoProgressError{Cycle: s.now, InFlight: s.inFlight, WatchdogCycles: watchdog}
 		}
 	}
 	if s.rec != nil {
@@ -599,9 +609,9 @@ func (s *Sim) Run() (Result, error) {
 	}
 	s.checkConservation()
 	if s.violation != nil {
-		return s.result(), s.violation
+		return s.violation
 	}
-	return s.result(), nil
+	return nil
 }
 
 // cycle runs the phases of one simulated cycle at s.now.
@@ -619,10 +629,7 @@ func (s *Sim) processEvents() {
 		case evArrive:
 			s.fc.arrive(ev)
 		case evCredit:
-			s.credits[ev.vcIdx] += ev.amt
-			if int(ev.vcIdx) < s.park.sets {
-				s.wakeCreditWaiters(ev.vcIdx)
-			}
+			s.fc.credit(ev.vcIdx, ev.amt)
 		case evDeliver:
 			s.deliver(ev.pkt, s.now)
 		case evRetry:
@@ -845,42 +852,12 @@ func nextBit(set []uint64, i int32) int32 {
 	return int32(w<<6 + bits.TrailingZeros64(word))
 }
 
-// parking is the VCT allocator's record of blocked heads whose grant
-// cannot succeed before something they wait on changes (DESIGN.md §8).
-// wake[vcIdx] is the first cycle the head of input VC vcIdx may be
-// granted again; 0 means it is not parked. A head parked for credits on
-// inter-switch (channel, VC) ci holds a bit in waiters[ci*words:][:words]:
-// bit pos[c]*VCs+vc for input VC (c, vc) of the channel's sending
-// switch, where pos[c] is c's place in inChans. sets is the number of
-// such (channel, VC) pairs, 0 under wormhole.
-type parking struct {
-	wake    []int64
-	waiters []uint64
-	pos     []int32
-	words   int
-	sets    int
-}
-
-// wakeCreditWaiters wakes the heads parked for credits on inter-switch
-// (channel, VC) ci, which just got credits back.
-func (s *Sim) wakeCreditWaiters(ci int32) {
-	vcs := int32(s.cfg.VCs)
-	ins := s.inChans[s.chanDst[(ci/vcs)^1]] // the channel's sending switch
-	w := s.park.waiters[int(ci)*s.park.words:][:s.park.words]
-	for i, word := range w {
-		for ; word != 0; word &= word - 1 {
-			b := int32(i<<6 + bits.TrailingZeros64(word))
-			s.park.wake[ins[b/vcs]*vcs+b%vcs] = 0
-		}
-		w[i] = 0
-	}
-}
-
-// newRouteEpoch advances routeEpoch, waking every parked head: their
-// route memos and the death masks they were parked on are stale.
+// newRouteEpoch advances routeEpoch and wakes what waits on the old
+// epoch: route memos and the death masks heads were parked on are stale,
+// and a repair resets credits.
 func (s *Sim) newRouteEpoch() {
 	s.routeEpoch++
-	clear(s.park.wake)
+	s.fc.wakeAll()
 }
 
 // applyFaults fires the fault events due this cycle: updates the death

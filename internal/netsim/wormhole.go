@@ -458,6 +458,17 @@ func (s *worm) moveFlit(c, slot int32, p *packet, pf int32, eject bool, oc, oslo
 // disturbed, so a repair needs no reset.
 func (s *worm) faultEpoch([]int32) {}
 
+// credit returns flit credits to a slot's sender.
+func (s *worm) credit(vcIdx, amt int32) { s.credits[vcIdx] += amt }
+
+// wakeAll is a no-op: nothing in the wormhole flow control waits on a
+// routing epoch.
+func (s *worm) wakeAll() {}
+
+// finish is a no-op: the wormhole loops skip only visits that change
+// nothing.
+func (s *worm) finish() {}
+
 // breakDeadlock is the per-cycle deadlock detection sweep. Every worm
 // holding at least one VC slot runs the suspect → confirm state machine
 // on its stall clock; confirmation requires wormWedged — the structural
