@@ -291,10 +291,10 @@ func replay(o opts, w io.Writer) (int, error) {
 }
 
 // replayRecovered replays one reproducer with the runtime deadlock
-// detector armed, on both engines (and with drain-before-reconfigure
-// when -drain is set): a scenario that wedges the fabric without
-// recovery must now complete with zero unresolved deadlocks. The exit
-// code classifies any residual violation like a campaign would.
+// detector armed with the -stallthreshold and -drain tuning, on both
+// engines: a scenario that wedges the fabric without recovery must now
+// complete with zero unresolved deadlocks. The exit code classifies any
+// residual violation like a campaign would.
 func replayRecovered(o opts, w io.Writer, r *dsnet.ChaosRepro) (int, error) {
 	arm, err := o.arm()
 	if err != nil {
@@ -302,7 +302,7 @@ func replayRecovered(o opts, w io.Writer, r *dsnet.ChaosRepro) (int, error) {
 	}
 	var t tally
 	for _, engine := range []string{"vct", "wormhole"} {
-		v, err := r.RunRecovered(engine, o.drain, arm)
+		v, err := r.RunRecovered(engine, o.recoveryConfig(), arm)
 		if err != nil {
 			return exitError, err
 		}

@@ -16,7 +16,8 @@ const outputGolden = "testdata/golden.txt"
 const detourRepro = "../../internal/chaos/testdata/repro/dsn-v-custom-wormhole-detour-deadlock.repro"
 
 // goldenCases cover both engines, multipath arming, drain recovery, a
-// shrunk violation (exit 2) and the plain and recovered replays.
+// shrunk violation (exit 2) and the plain and recovered replays, one of
+// them with its own stall threshold.
 var goldenCases = [][]string{
 	{"-topo", "torus", "-n", "16", "-campaigns", "3", "-seed", "3"},
 	{"-topo", "torus", "-n", "16", "-campaigns", "3", "-seed", "3", "-switching", "wormhole", "-multipath"},
@@ -24,6 +25,7 @@ var goldenCases = [][]string{
 	{"-topo", "dsn-basic-unsafe", "-n", "36", "-campaigns", "2", "-shrink"},
 	{"-replay", detourRepro},
 	{"-replay", detourRepro, "-recover", "-multipath"},
+	{"-replay", detourRepro, "-recover", "-stallthreshold", "256"},
 }
 
 // TestOutputGolden pins stdout and the exit code of every golden case

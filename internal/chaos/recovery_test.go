@@ -37,7 +37,9 @@ func TestReproCorpusRecovered(t *testing.T) {
 			}
 			for _, engine := range []string{"vct", "wormhole"} {
 				for _, drain := range []bool{false, true} {
-					v, err := r.RunRecovered(engine, drain, nil)
+					rc := RecoveredReplayConfig()
+					rc.DrainOnFault = drain
+					v, err := r.RunRecovered(engine, rc, nil)
 					if err != nil {
 						t.Fatalf("%s drain=%v: %v", engine, drain, err)
 					}

@@ -289,15 +289,15 @@ func RecoveredReplayConfig() recovery.Config {
 }
 
 // RunRecovered replays the reproducer with runtime deadlock recovery
-// armed (RecoveredReplayConfig, optionally with drain-before-
-// reconfigure) on the given engine ("" keeps the recorded one) and
-// returns the full verdict: a reproducer that deadlocks its fabric
-// without recovery must come back clean with DeadlocksRecovered > 0
-// when recovery is on. A non-nil arm replays against the target armed
-// with the spraying router (seeded with the reproducer's seed), so the
-// corpus doubles as a regression for dead-link re-spray plus
-// escape-path recovery.
-func (r *Repro) RunRecovered(engine string, drain bool, arm *Arm) (Verdict, error) {
+// armed with rc (RecoveredReplayConfig is the corpus tuning; set
+// DrainOnFault for drain-before-reconfigure) on the given engine (""
+// keeps the recorded one) and returns the full verdict: a reproducer
+// that deadlocks its fabric without recovery must come back clean with
+// DeadlocksRecovered > 0 when recovery is on. A non-nil arm replays
+// against the target armed with the spraying router (seeded with the
+// reproducer's seed), so the corpus doubles as a regression for
+// dead-link re-spray plus escape-path recovery.
+func (r *Repro) RunRecovered(engine string, rc recovery.Config, arm *Arm) (Verdict, error) {
 	e, err := r.engine()
 	if err != nil {
 		return Verdict{}, err
@@ -315,8 +315,7 @@ func (r *Repro) RunRecovered(engine string, drain bool, arm *Arm) (Verdict, erro
 		return Verdict{}, fmt.Errorf("chaos: unknown engine override %q (want vct or wormhole)", engine)
 	}
 	e.Opt.Recover = true
-	e.Opt.Recovery = RecoveredReplayConfig()
-	e.Opt.Recovery.DrainOnFault = drain
+	e.Opt.Recovery = rc
 	return e.RunScenario(Scenario{Kind: -1, Seed: r.Seed, Plan: netsim.NewFaultPlan(r.Events...)})
 }
 
