@@ -9,8 +9,8 @@
 // It runs a standard grid (latency, fault, collective and chaos sweeps)
 // three times — serial uncached, parallel populating a cache, parallel
 // fully cached — and writes a machine-readable BENCH_sweeps.json with
-// wall times, cells executed/cached, throughput, speedup and the replay
-// verdict. The exit status is 0 only when both guarantees hold, so a
+// wall times, cells executed/cached, throughput, the speedup (with more
+// than one worker) and the replay verdict. The exit status is 0 only when both guarantees hold, so a
 // bounded invocation doubles as a CI gate.
 //
 // Usage:
@@ -236,8 +236,12 @@ func run(o opts) error {
 	report.Grid = g.name
 	report.Switching = o.switching
 	report.SerialWallMS = serial.Bench.TotalWallMS()
-	if report.TotalWallMS > 0 {
+	// With one worker both passes are serial, and their ratio measures
+	// pass order and noise: the report leaves the speedup out.
+	speedup := "n/a"
+	if report.Jobs > 1 && report.TotalWallMS > 0 {
 		report.Speedup = report.SerialWallMS / report.TotalWallMS
+		speedup = fmt.Sprintf("%.2fx", report.Speedup)
 	}
 	report.Replay = &dsnet.BenchReplayCheck{Executed: executed, Cached: cached, Identical: identical}
 	report.Scaling = scalingRows
@@ -245,8 +249,8 @@ func run(o opts) error {
 		return err
 	}
 
-	fmt.Printf("# serial %.0f ms, parallel %.0f ms (-j %d, gomaxprocs %d): speedup %.2fx\n",
-		report.SerialWallMS, report.TotalWallMS, report.Jobs, report.GoMaxProcs, report.Speedup)
+	fmt.Printf("# serial %.0f ms, parallel %.0f ms (-j %d, gomaxprocs %d): speedup %s\n",
+		report.SerialWallMS, report.TotalWallMS, report.Jobs, report.GoMaxProcs, speedup)
 	fmt.Printf("# replay: %d executed, %d cached, identical=%v\n", executed, cached, identical)
 	if report.CacheErrors > 0 {
 		fmt.Printf("# cache: %d write failures (results unaffected; affected cells re-run next time)\n", report.CacheErrors)

@@ -108,9 +108,10 @@ type Report struct {
 	Jobs       int         `json:"jobs"`
 	GoMaxProcs int         `json:"gomaxprocs"`
 	Sweeps     []SweepStat `json:"sweeps"`
-	// TotalWallMS is the parallel grid's wall time; SerialWallMS and
-	// Speedup are present when a serial baseline was measured in the
-	// same invocation (dsnbench -compare / -smoke).
+	// TotalWallMS is the parallel grid's wall time; SerialWallMS is
+	// present when a serial baseline was measured in the same invocation
+	// (dsnbench), and Speedup too when the parallel pass ran more than
+	// one worker.
 	TotalWallMS  float64      `json:"total_wall_ms"`
 	SerialWallMS float64      `json:"serial_wall_ms,omitempty"`
 	Speedup      float64      `json:"speedup,omitempty"`
