@@ -82,6 +82,10 @@ type Phase = core.Phase
 // LinkClass identifies the channel class of a hop (Section V.A).
 type LinkClass = core.LinkClass
 
+// NumClasses is the number of LinkClass values, the class count of a
+// CDG over DSN routes.
+const NumClasses = core.NumClasses
+
 // Torus is a k-ary n-dimensional torus or mesh.
 type Torus = topology.Torus
 

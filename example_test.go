@@ -58,7 +58,7 @@ func ExampleCDG() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cdg := dsnet.NewCDG()
+	cdg := dsnet.NewCDG(d.Graph(), dsnet.NumClasses)
 	for s := 0; s < d.N; s++ {
 		for t := 0; t < d.N; t++ {
 			r, err := d.Route(s, t)

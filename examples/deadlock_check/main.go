@@ -37,7 +37,7 @@ func main() {
 }
 
 func cdgOf(d *dsnet.DSN) *dsnet.CDG {
-	cdg := dsnet.NewCDG()
+	cdg := dsnet.NewCDG(d.Graph(), dsnet.NumClasses)
 	var hops []dsnet.ChannelHop
 	for s := 0; s < d.N; s++ {
 		for t := 0; t < d.N; t++ {

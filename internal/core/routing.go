@@ -46,6 +46,10 @@ const (
 	ClassShort                       // DSN-D short link
 )
 
+// NumClasses is the number of channel classes: every LinkClass is below
+// it.
+const NumClasses = int(ClassShort) + 1
+
 // String returns a short name for the class.
 func (c LinkClass) String() string {
 	switch c {
@@ -118,13 +122,28 @@ func (d *DSN) levelFor(dist int) int {
 // fails to converge within its safety budget, which indicates a
 // construction bug rather than an input condition.
 func (d *DSN) Route(s, t int) (*Route, error) {
+	hops, err := d.AppendRoute(nil, s, t)
+	if err != nil {
+		return nil, err
+	}
+	r := &Route{Src: s, Dst: t, Hops: hops}
+	for _, h := range hops {
+		r.PhaseHops[h.Phase]++
+	}
+	return r, nil
+}
+
+// AppendRoute appends the hops of Route(s, t) to hops and returns the
+// extended slice, so that callers routing many pairs can share one
+// buffer. On error hops is returned unchanged.
+func (d *DSN) AppendRoute(hops []Hop, s, t int) ([]Hop, error) {
 	if s < 0 || s >= d.N || t < 0 || t >= d.N {
-		return nil, fmt.Errorf("core: route endpoints (%d,%d) out of range [0,%d)", s, t, d.N)
+		return hops, fmt.Errorf("core: route endpoints (%d,%d) out of range [0,%d)", s, t, d.N)
 	}
-	r := &Route{Src: s, Dst: t}
 	if s == t {
-		return r, nil
+		return hops, nil
 	}
+	start := len(hops)
 	deadlockFree := d.Variant == VariantE || d.Variant == VariantV
 
 	// All movement bookkeeping is clockwise offset from s. D is the target
@@ -136,8 +155,7 @@ func (d *DSN) Route(s, t int) (*Route, error) {
 	budget := 20*d.P + 2*d.N + 16 // generous safety net; Theorem 1(c) says 3p+r
 
 	hop := func(to int, class LinkClass, phase Phase) {
-		r.Hops = append(r.Hops, Hop{From: int32(u), To: int32(to), Class: class, Phase: phase})
-		r.PhaseHops[phase]++
+		hops = append(hops, Hop{From: int32(u), To: int32(to), Class: class, Phase: phase})
 		u = to
 	}
 
@@ -146,7 +164,7 @@ func (d *DSN) Route(s, t int) (*Route, error) {
 	for budget > 0 {
 		budget--
 		if u == t {
-			return r, nil
+			return hops, nil
 		}
 		dist := D - pos
 		l := d.levelFor(dist)
@@ -188,7 +206,7 @@ func (d *DSN) Route(s, t int) (*Route, error) {
 		}
 	}
 	if pos == D {
-		return r, nil
+		return hops, nil
 	}
 
 	// FINISH: local walk covering the residue. Overshoot goes back on
@@ -226,9 +244,9 @@ func (d *DSN) Route(s, t int) (*Route, error) {
 		}
 	}
 	if pos != D {
-		return nil, fmt.Errorf("core: %v routing %d->%d did not converge (pos=%d target=%d)", d, s, t, pos, D)
+		return hops[:start], fmt.Errorf("core: %v routing %d->%d did not converge (pos=%d target=%d)", d, s, t, pos, D)
 	}
-	return r, nil
+	return hops, nil
 }
 
 // DetourHop returns the single ring hop leaving u in the given direction

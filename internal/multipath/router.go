@@ -186,23 +186,42 @@ func (r *Router) UpdateFaults(edgeDead, swDead []bool) {
 // LiveMask returns the paths of ps that survive the fault masks: bit i
 // is set while every switch of path i is alive and every hop keeps at
 // least one live parallel edge. Router.UpdateFaults sprays over these
-// paths, and verify counts the pairs it leaves without one. Nil or
-// short masks count as alive.
+// paths. Nil or short masks count as alive.
 func (ps *PathSet) LiveMask(g *graph.Graph, edgeDead, swDead []bool) uint16 {
 	var live uint16
 	for pi, p := range ps.Paths {
-		ok := true
-		for i := 0; ok && i < len(p); i++ {
-			ok = !dead(swDead, int(p[i]))
-			if ok && i > 0 {
-				_, ok = liveEdge(g, edgeDead, int(p[i-1]), int(p[i]))
-			}
-		}
-		if ok {
+		if p.live(g, edgeDead, swDead) {
 			live |= 1 << pi
 		}
 	}
 	return live
+}
+
+// AnyLive reports whether LiveMask would be non-zero, stopping at the
+// first live path; verify counts the pairs it leaves without one.
+func (ps *PathSet) AnyLive(g *graph.Graph, edgeDead, swDead []bool) bool {
+	for _, p := range ps.Paths {
+		if p.live(g, edgeDead, swDead) {
+			return true
+		}
+	}
+	return false
+}
+
+// live reports whether every switch of p is alive and every hop keeps
+// at least one live parallel edge.
+func (p Path) live(g *graph.Graph, edgeDead, swDead []bool) bool {
+	for i := range p {
+		if dead(swDead, int(p[i])) {
+			return false
+		}
+		if i > 0 {
+			if _, ok := liveEdge(g, edgeDead, int(p[i-1]), int(p[i])); !ok {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // liveEdge returns a surviving physical edge between two switches (the

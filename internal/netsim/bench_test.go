@@ -172,6 +172,34 @@ func TestSimCycleAllocs(t *testing.T) {
 	}
 }
 
+// TestDSNSourceRoutedAllocs pins the exact allocation count of building
+// the DSN custom router on DSN-V-36 and DSN-V-60. It routes every pair
+// into one hop arena and one pin arena, so the count must not grow with
+// the number of pairs.
+func TestDSNSourceRoutedAllocs(t *testing.T) {
+	if netsim.RaceDetectorEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for _, c := range []struct {
+		n      int
+		allocs float64
+	}{{36, 23}, {60, 25}} {
+		d, err := core.NewV(c.n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := netsim.NewDSNSourceRoutedUnsafe(d); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != c.allocs {
+			t.Errorf("DSN-V-%d: %.0f allocations per build, want exactly %.0f", c.n, allocs, c.allocs)
+		}
+	}
+}
+
 // benchRun times b.N construct-and-run iterations of one case and
 // reports simulated switch-cycles per second.
 func benchRun(b *testing.B, c simCycleCase) {

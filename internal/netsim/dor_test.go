@@ -85,7 +85,7 @@ func TestDORTorusCDGAcyclic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cdg := routing.NewCDG()
+		cdg := routing.NewCDG(tor.Graph(), 2)
 		for s := 0; s < tor.N(); s++ {
 			for d := 0; d < tor.N(); d++ {
 				if s == d {
@@ -111,7 +111,7 @@ func TestDORWithoutDatelineHasCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cdg := routing.NewCDG()
+	cdg := routing.NewCDG(tor.Graph(), 1)
 	for s := 0; s < tor.N(); s++ {
 		for d := 0; d < tor.N(); d++ {
 			if s == d {

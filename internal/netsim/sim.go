@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand/v2"
 
@@ -145,7 +146,11 @@ type Sim struct {
 	pattern traffic.Pattern
 	rate    float64 // offered load, flits/cycle/host
 	rng     *rand.Rand
-	fc      flowControl
+	// pcg is rng's source. genTraffic draws from it directly, so a
+	// host's per-cycle draw skips the interface call and the float
+	// conversion (arrives).
+	pcg *rand.PCG
+	fc  flowControl
 	// failStop selects the wormhole engine's fault semantics (see
 	// SetFaultPlan): fail-stop admission instead of the drop/retry
 	// transport. Such runs also report no post-fault latencies, and a
@@ -311,9 +316,10 @@ func newSim(cfg Config, g *graph.Graph, rt Router, p traffic.Pattern, rate float
 	nSw := g.N()
 	hosts := nSw * cfg.HostsPerSwitch
 	nChan := 2*g.M() + hosts
+	pcg := rand.NewPCG(cfg.Seed, stream)
 	s := Sim{
 		cfg: cfg, g: g, rt: rt, pattern: p, rate: rate,
-		rng:      rand.New(rand.NewPCG(cfg.Seed, stream)),
+		rng: rand.New(pcg), pcg: pcg,
 		failStop: wormhole,
 		nSw:      nSw,
 		hosts:    hosts,
@@ -762,14 +768,14 @@ func (s *Sim) inject() {
 // genTraffic runs the open-loop Bernoulli injection process. All RNG
 // consumption of the injection path lives here.
 func (s *Sim) genTraffic() {
-	pktProb := s.rate / float64(s.cfg.PacketFlits)
+	thresh := arrivalThreshold(s.rate / float64(s.cfg.PacketFlits))
 	hps := int32(s.cfg.HostsPerSwitch)
 	for h := 0; h < s.hosts; h++ {
 		srcDead := s.faultActive && s.swDead[int32(h)/hps]
 		if srcDead && !s.failStop {
 			continue // hosts of a dead switch are offline
 		}
-		if s.rng.Float64() < pktProb {
+		if arrives(s.pcg.Uint64(), thresh) {
 			dst := int32(s.pattern.Dest(h, s.rng))
 			if s.failStop && s.faultActive && (srcDead || s.swDead[dst/hps]) {
 				// Fail-stop admission: hosts on dead switches generate
@@ -786,6 +792,16 @@ func (s *Sim) genTraffic() {
 		}
 	}
 }
+
+// arrivalThreshold returns the integer threshold of arrives for a
+// per-cycle packet probability p in [0, 1]. Scaling by 2^53 is exact.
+func arrivalThreshold(p float64) uint64 { return uint64(math.Ceil(p * (1 << 53))) }
+
+// arrives is rng.Float64() < p for the draw u that Float64 would take
+// from the same source, with thresh = arrivalThreshold(p). Float64 is
+// (u<<11>>11) / 2^53, and the dividend is an integer below 2^53, so it
+// is below p exactly when it is below ceil(p * 2^53).
+func arrives(u, thresh uint64) bool { return u<<11>>11 < thresh }
 
 // newPacket sources one packet at host src and queues it there.
 func (s *Sim) newPacket(src, dst, msg int32, measured bool) *packet {

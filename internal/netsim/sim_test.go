@@ -3,6 +3,7 @@ package netsim
 import (
 	"errors"
 	"math"
+	"math/rand/v2"
 	"strings"
 	"testing"
 
@@ -160,6 +161,40 @@ func TestZeroLoadLatencyFormula(t *testing.T) {
 	wantNS := wantCycles * cfg.CycleNS()
 	if math.Abs(res.AvgLatencyNS-wantNS) > 0.08*wantNS {
 		t.Fatalf("zero-load latency %.0f ns, want about %.0f ns", res.AvgLatencyNS, wantNS)
+	}
+}
+
+// fixedSource makes rand.Rand.Float64 take a chosen draw.
+type fixedSource uint64
+
+func (u fixedSource) Uint64() uint64 { return uint64(u) }
+
+// TestArrivesMatchesFloat64 checks genTraffic's integer arrival test
+// against the float test it stands for, rand.Float64() < p on the same
+// draw: one below the threshold, at it, one above it and at random
+// draws, for edge probabilities, Fig. 10's per-cycle packet
+// probabilities and random ones. The 11 high bits Float64 discards are
+// drawn at random too.
+func TestArrivesMatchesFloat64(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	probs := []float64{0, 1, 0.01 / 33, 0.15 / 33, 1.0 / 33, math.Nextafter(1, 0), 3.0 / (1 << 53)}
+	for i := 0; i < 64; i++ {
+		probs = append(probs, rng.Float64())
+	}
+	for _, p := range probs {
+		thresh := arrivalThreshold(p)
+		draws := []uint64{thresh - 1, thresh, thresh + 1}
+		for i := 0; i < 64; i++ {
+			draws = append(draws, rng.Uint64())
+		}
+		for _, u := range draws {
+			for _, high := range []uint64{0, rng.Uint64() &^ (1<<53 - 1)} {
+				u := u&(1<<53-1) | high
+				if got, want := arrives(u, thresh), rand.New(fixedSource(u)).Float64() < p; got != want {
+					t.Errorf("p=%g draw %#x: arrives %v, Float64 test %v", p, u, got, want)
+				}
+			}
+		}
 	}
 }
 

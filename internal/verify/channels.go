@@ -80,13 +80,15 @@ type updownWalk struct {
 func (w *updownWalk) check() CheckResult { return check("totality:updown", w.totality) }
 
 // walkUpDown routes every ordered pair of g through ud's next hops
-// (routing.UpDown.AppendPath), reusing one path and one hop buffer. A
-// pair whose route fails adds nothing to the CDG: the simulator drops
-// its packets.
+// (routing.UpDown.AppendPath), reusing one path and one hop buffer, and
+// records the routes on g's links at one channel class. A pair whose
+// route fails adds nothing to the CDG: the simulator drops its packets.
+// Nor does a route with a hop that is a self-loop or rides no edge of
+// g, which totality flags.
 func walkUpDown(g *graph.Graph, ud *routing.UpDown) *updownWalk {
 	n := g.N()
 	comp, _ := g.Components()
-	w := &updownWalk{cdg: routing.NewCDG(), comp: comp}
+	w := &updownWalk{cdg: routing.NewCDG(g, 1), comp: comp}
 	violate := func(err error) {
 		if w.totality == nil {
 			w.totality = err
@@ -122,13 +124,15 @@ func walkUpDown(g *graph.Graph, ud *routing.UpDown) *updownWalk {
 				violate(fmt.Errorf("verify: up*/down* %d->%d endpoints %v", s, t, path))
 			}
 			hops = hops[:0]
-			descended := false
+			descended, links := false, true
 			for i := 0; i+1 < len(path); i++ {
 				u, v := path[i], path[i+1]
 				if u == v {
 					violate(fmt.Errorf("verify: up*/down* %d->%d self-loop at %d", s, t, u))
+					links = false
 				} else if !g.HasEdge(u, v) {
 					violate(fmt.Errorf("verify: up*/down* %d->%d hop %d->%d rides no edge", s, t, u, v))
+					links = false
 				}
 				down := !ud.IsUp(u, v)
 				if descended && !down {
@@ -137,7 +141,9 @@ func walkUpDown(g *graph.Graph, ud *routing.UpDown) *updownWalk {
 				descended = descended || down
 				hops = append(hops, routing.ChannelHop{From: int32(u), To: int32(v)})
 			}
-			w.cdg.AddRoute(hops)
+			if links {
+				w.cdg.AddRoute(hops)
+			}
 		}
 	}
 	return w
@@ -145,9 +151,10 @@ func walkUpDown(g *graph.Graph, ud *routing.UpDown) *updownWalk {
 
 // DSNClassChannels builds the CDG of the DSN custom routing at the
 // paper's channel-class granularity (Section V.A): one channel per
-// (link direction, LinkClass). route is d.Route or d.RouteShortAware.
+// (link direction, LinkClass), on d's graph at core.NumClasses classes.
+// route is d.Route or d.RouteShortAware.
 func DSNClassChannels(d *core.DSN, route func(s, t int) (*core.Route, error)) (*routing.CDG, error) {
-	cdg := routing.NewCDG()
+	cdg := routing.NewCDG(d.Graph(), core.NumClasses)
 	var hops []routing.ChannelHop
 	for s := 0; s < d.N; s++ {
 		for t := 0; t < d.N; t++ {

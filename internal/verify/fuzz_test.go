@@ -96,7 +96,7 @@ func FuzzDSNRouteInvariants(f *testing.F) {
 			if err != nil {
 				t.Fatalf("source-routed router build failed on %s: %v", d, err)
 			}
-			if cycle := walkRouter(rt, d.N, nil, nil).cdg.FindCycle(); cycle != nil {
+			if cycle := walkRouter(rt, d.Graph(), 3, nil, nil).cdg.FindCycle(); cycle != nil {
 				t.Fatalf("VC-mapped CDG cyclic on %s: %v", d, cycle)
 			}
 		}

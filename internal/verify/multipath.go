@@ -63,12 +63,12 @@ func CheckMultipathTotality(g *graph.Graph, tab *multipath.Table) CheckResult {
 // fault-degraded fabric with the derivations multipath.Router.UpdateFaults
 // runs: the up*/down* escape rebuilt on the surviving subgraph
 // (routing.Surviving), enumerated at vcs channel classes, and each
-// pair's sprayed paths masked to the survivors (PathSet.LiveMask).
-// Deadlock freedom only needs the rebuilt escape to stay acyclic —
-// pairs whose sprayed paths all die divert permanently onto it. The
-// faulted:multipath-live check records the live/diverted/unreachable
-// pair split for the report; diversion and disconnection are legal
-// under faults, so it always holds.
+// pair's sprayed paths masked to the survivors (PathSet.AnyLive asks
+// whether one survives). Deadlock freedom only needs the rebuilt escape
+// to stay acyclic — pairs whose sprayed paths all die divert
+// permanently onto it. The faulted:multipath-live check records the
+// live/diverted/unreachable pair split for the report; diversion and
+// disconnection are legal under faults, so it always holds.
 func CertifyDegradedMultipath(g *graph.Graph, tab *multipath.Table, edgeDead, swDead []bool, vcs int) Certificate {
 	cert := Certificate{
 		Combo:    "degraded/multipath",
@@ -93,7 +93,7 @@ func CertifyDegradedMultipath(g *graph.Graph, tab *multipath.Table, edgeDead, sw
 				continue
 			}
 			switch {
-			case tab.Set(s, d).LiveMask(g, edgeDead, swDead) != 0:
+			case tab.Set(s, d).AnyLive(g, edgeDead, swDead):
 				live++
 			case w.comp[s] == w.comp[d]:
 				diverted++ // all sprayed paths dead: rides the escape

@@ -238,7 +238,7 @@ func StandardCombos(o Options) []*Combo {
 			if err != nil {
 				return nil, nil, err
 			}
-			w := walkRouter(rt, tor.N(), nil, dorMinimal(tor))
+			w := walkRouter(rt, tor.Graph(), vcs, nil, dorMinimal(tor))
 			return w.cdg, []CheckResult{deliveryCheck("totality:dor", w)}, nil
 		})
 	}
@@ -262,7 +262,7 @@ func StandardCombos(o Options) []*Combo {
 			if err != nil {
 				return nil, nil, err
 			}
-			return walkRouter(rt, g.N(), nil, nil).cdg, []CheckResult{CheckUpDownTotality(g, ud)}, nil
+			return walkRouter(rt, g, o.VCs, nil, nil).cdg, []CheckResult{CheckUpDownTotality(g, ud)}, nil
 		})
 
 		// Duato's theorem: the scheme is deadlock-free when the escape
@@ -284,7 +284,7 @@ func StandardCombos(o Options) []*Combo {
 			if err != nil {
 				return nil, nil, err
 			}
-			w := walkRouter(rt, g.N(), nil, duatoConsistent(g, routing.NewDistanceTable(g)))
+			w := walkRouter(rt, g, o.VCs, nil, duatoConsistent(g, routing.NewDistanceTable(g)))
 			return w.cdg, []CheckResult{CheckUpDownTotality(g, ud), deliveryCheck("consistency:duato-adaptive", w)}, nil
 		})
 	}
@@ -323,7 +323,7 @@ func StandardCombos(o Options) []*Combo {
 			if err != nil {
 				return nil, nil, err
 			}
-			return walkRouter(rt, d.N, nil, nil).cdg, []CheckResult{CheckDSNTotality(d, d.Route)}, nil
+			return walkRouter(rt, d.Graph(), 3, nil, nil).cdg, []CheckResult{CheckDSNTotality(d, d.Route)}, nil
 		})
 	}
 
@@ -390,7 +390,7 @@ func StandardCombos(o Options) []*Combo {
 				if err != nil {
 					return nil, nil, err
 				}
-				w := walkRouter(rt, g.N(), nil, duatoConsistent(g, nil))
+				w := walkRouter(rt, g, o.VCs, nil, duatoConsistent(g, nil))
 				return w.cdg, []CheckResult{
 					CheckUpDownTotality(g, ud),
 					deliveryCheck("consistency:duato-adaptive", w),
