@@ -3,6 +3,9 @@ package verify
 import (
 	"strings"
 	"testing"
+
+	"dsnet/internal/graph"
+	"dsnet/internal/netsim"
 )
 
 // TestCertifyAllExpectations pins the certification matrix: every
@@ -93,5 +96,39 @@ func TestCertifyAllDeterministic(t *testing.T) {
 			t.Errorf("%s: witness not deterministic:\n  %s\n  %s",
 				a[i].Combo, a[i].WitnessString(), b[i].WitnessString())
 		}
+	}
+}
+
+// offEdgeRouter routes along the path 0-1-2, except that a packet at 0
+// for 2 jumps straight there, a hop that rides no edge.
+type offEdgeRouter struct{}
+
+func (offEdgeRouter) Candidates(st netsim.PacketState, sw int, buf []netsim.Candidate) []netsim.Candidate {
+	next := int32(sw + 1)
+	switch {
+	case int32(sw) == st.DstSw:
+		return buf
+	case sw == 0 && st.DstSw == 2:
+		next = 2
+	case int32(sw) > st.DstSw:
+		next = int32(sw - 1)
+	}
+	return append(buf, netsim.Candidate{Next: next, Escape: true})
+}
+
+// TestWalkReportsOffEdgeCandidate pins that a walked state its check
+// rejects stays out of the CDG: a candidate riding no edge of the graph
+// is reported as a violation, not added as a channel (which panics).
+func TestWalkReportsOffEdgeCandidate(t *testing.T) {
+	g := graph.New(3)
+	g.AddEdge(0, 1, graph.KindRing)
+	g.AddEdge(1, 2, graph.KindRing)
+	w := walkRouter(offEdgeRouter{}, g, 1, nil, duatoConsistent(g, nil))
+	if w.violation == nil || !strings.Contains(w.violation.Error(), "rides no edge") {
+		t.Fatalf("violation %v, want a candidate that rides no edge", w.violation)
+	}
+	// The legal routes ride the four link directions; 0->2 adds none.
+	if w.cdg.Channels() != 4 {
+		t.Errorf("%d channels recorded, want the 4 link directions", w.cdg.Channels())
 	}
 }
