@@ -192,6 +192,7 @@ func goldenRuns(t *testing.T) map[string]goldenRun {
 	hd16, err := collectives.Generate("allreduce", "halving-doubling", d16.N*cfg.HostsPerSwitch, cfg.PacketFlits)
 	must(err)
 	unsafeBasic := func(int) (netsim.Router, error) { return netsim.NewDSNSourceRoutedUnsafe(basic) }
+	lastCycleDeath := netsim.NewFaultPlan(netsim.SwitchDown(cfg.WarmupCycles+cfg.MeasureCycles+cfg.DrainCycles-1, 5))
 	vct := []string{"vct"}
 
 	return map[string]goldenRun{
@@ -237,23 +238,29 @@ func goldenRuns(t *testing.T) map[string]goldenRun {
 			replay: collectives.ToReplay(hd.Permuted(5)), plan: torusFaults, mon: conserve, check: rerouted,
 			engines: []string{"vct"}},
 		"duato/torus16/vcs2": {g: tg, cfg: vcs2, rate: 0.05, router: duato(tg)},
-		// The VCT allocator's blocked-head paths: the HOL-wait monitor
-		// tripping on a wedged fabric, the HOL-wait maximum of heads still
-		// wedged at the end of a run, and of wedged heads dropped with
-		// their switch (switch 5 holds the longest wait at rate 0.10 and
-		// dies in the last cycle), head-of-line fault timeouts with a
-		// switch down and repaired, and hosts that wait for injection
-		// credits (one-packet chunks queue a whole message at each host).
+		// The blocked-head paths: the HOL-wait monitor tripping on a
+		// wedged fabric and the HOL-wait maximum of heads still wedged at
+		// the end of a run (both engines), and of wedged heads at a
+		// switch that dies (switch 5 holds the longest wait at rate 0.10
+		// and dies in the last cycle); on VCT also head-of-line fault
+		// timeouts with a switch down and repaired, and hosts that wait
+		// for injection credits (one-packet chunks queue a whole message
+		// at each host).
 		"unsafe-basic-dsn36/hol-monitor": {g: basic.Graph(), cfg: cfg, rate: 0.30, router: unsafeBasic,
-			mon: netsim.Monitors{MaxHOLWaitCycles: 2000}, engines: vct, check: holTripped},
-		"unsafe-basic-dsn36/wedged": {g: basic.Graph(), cfg: cfg, rate: 0.30, router: unsafeBasic, engines: vct,
+			mon: netsim.Monitors{MaxHOLWaitCycles: 2000}, check: holTripped},
+		"unsafe-basic-dsn36/wedged": {g: basic.Graph(), cfg: cfg, rate: 0.30, router: unsafeBasic,
 			check: expect("heads still wedged at the end", func(r netsim.Result) bool {
 				return r.InFlightAtEnd > 0 && r.MaxHOLWaitCycles > cfg.DrainCycles
 			})},
 		"unsafe-basic-dsn36/wedged-switch-dies": {g: basic.Graph(), cfg: cfg, rate: 0.10, router: unsafeBasic,
-			plan:    netsim.NewFaultPlan(netsim.SwitchDown(cfg.WarmupCycles+cfg.MeasureCycles+cfg.DrainCycles-1, 5)),
-			engines: vct, check: expect("wedged heads dropped with their switch", func(r netsim.Result) bool {
+			plan: lastCycleDeath, engines: vct, check: expect("wedged heads dropped with their switch", func(r netsim.Result) bool {
 				return r.Dropped > 0 && r.MaxHOLWaitCycles > cfg.DrainCycles
+			})},
+		// Fail-stop never drops a worm, so on wormhole the switch death
+		// leaves the wedged headers in place.
+		"unsafe-basic-dsn36/wedged-switch-dies-failstop": {g: basic.Graph(), cfg: cfg, rate: 0.10, router: unsafeBasic,
+			plan: lastCycleDeath, engines: []string{"wormhole"}, check: expect("wedged headers left in place", func(r netsim.Result) bool {
+				return r.InFlightAtEnd > 0 && r.MaxHOLWaitCycles > cfg.DrainCycles
 			})},
 		"duato/dsn-v36/switch-timeouts": {g: vg, cfg: longCfg, rate: 0.05, router: duato(vg),
 			plan: netsim.NewFaultPlan(netsim.SwitchDown(1500, 7), netsim.SwitchUp(6000, 7)), mon: conserve,
