@@ -372,9 +372,15 @@ func run(o opts) error {
 			if res.GeneratedMeasured > 0 {
 				delRate = float64(res.DeliveredMeasured) / float64(res.GeneratedMeasured)
 			}
-			fmt.Printf("%12.2f %12.2f %12.1f %12.1f %10v %9.3f %8d %6d %8d %9d %12.1f%s\n",
+			// Wormhole's fail-stop faults never measure post-fault
+			// latencies, so its column says so rather than print 0.
+			pfP99 := fmt.Sprintf("%12.1f", res.PostFaultP99NS)
+			if o.switching == "wormhole" {
+				pfP99 = fmt.Sprintf("%12s", "-")
+			}
+			fmt.Printf("%12.2f %12.2f %12.1f %12.1f %10v %9.3f %8d %6d %8d %9d %s%s\n",
 				res.OfferedGbps, res.AcceptedGbps, res.AvgLatencyNS, res.P99LatencyNS, sat,
-				delRate, res.Dropped, res.Lost, res.Retried, res.Rerouted, res.PostFaultP99NS, recVals)
+				delRate, res.Dropped, res.Lost, res.Retried, res.Rerouted, pfP99, recVals)
 		} else {
 			fmt.Printf("%12.2f %12.2f %12.1f %12.1f %10v%s\n",
 				res.OfferedGbps, res.AcceptedGbps, res.AvgLatencyNS, res.P99LatencyNS, sat, recVals)

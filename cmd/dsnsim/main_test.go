@@ -1,6 +1,11 @@
 package main
 
-import "testing"
+import (
+	"io"
+	"os"
+	"strings"
+	"testing"
+)
 
 // quick returns short-schedule options for tests.
 func quick(topo, pattern, routing string, n int, rates, switching string, buf int) opts {
@@ -90,6 +95,50 @@ func TestRunWithFaults(t *testing.T) {
 	o.switching, o.buf = "wormhole", 20
 	if err := run(o); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// captureRun runs dsnsim with o and returns what it printed.
+func captureRun(t *testing.T, o opts) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	out := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- string(b)
+	}()
+	runErr := run(o)
+	os.Stdout = stdout
+	w.Close()
+	printed := <-out
+	if runErr != nil {
+		t.Fatal(runErr)
+	}
+	return printed
+}
+
+// TestRunFaultRowPostFaultP99 checks the pf_p99_ns column of a fault
+// run's row: VCT measures it, and wormhole, whose fail-stop faults
+// never measure it, prints "-" instead of a 0 that reads as measured.
+func TestRunFaultRowPostFaultP99(t *testing.T) {
+	for _, switching := range []string{"vct", "wormhole"} {
+		o := quick("dsn-v", "uniform", "adaptive", 36, "0.02", switching, 0)
+		o.warmup, o.measure, o.drain = 1000, 2000, 3000
+		o.faults = 0.05
+		out := captureRun(t, o)
+		lines := strings.Split(strings.TrimSpace(out), "\n")
+		header, row := strings.Fields(lines[len(lines)-2]), strings.Fields(lines[len(lines)-1])
+		if len(header) != 11 || header[10] != "pf_p99_ns" || len(row) != 11 {
+			t.Fatalf("%s: unexpected table:\n%s", switching, out)
+		}
+		if got := row[10]; (switching == "wormhole") != (got == "-") || got == "0.0" {
+			t.Errorf("%s: pf_p99_ns %q in row %q", switching, got, lines[len(lines)-1])
+		}
 	}
 }
 
