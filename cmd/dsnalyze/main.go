@@ -16,15 +16,17 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strings"
 
 	"dsnet"
+	"dsnet/internal/catalog"
 )
 
 func main() {
 	var (
-		topo       = flag.String("topo", "dsn", "topology: dsn, dsn-e, dsn-v, dsn-d, torus, torus3d, random, dln, ring, kleinberg, hypercube, ccc, debruijn")
+		topo       = flag.String("topo", "dsn", "topology: "+strings.Join(catalog.FabricNames, ", "))
 		n          = flag.Int("n", 64, "number of switches")
-		x          = flag.Int("x", 0, "DSN shortcut ladder size (default p-1) / DLN degree")
+		x          = flag.Int("x", 0, "dsn: shortcut ladder size x (default p-1); dsn-d: short-link spacing k (default 2); dln: degree (default 4)")
 		seed       = flag.Uint64("seed", 1, "seed for randomized topologies")
 		smallWorld = flag.Bool("smallworld", false, "also print clustering coefficient and small-world sigma")
 		bottleneck = flag.Bool("bottleneck", false, "also print edge-betweenness load concentration")
@@ -40,10 +42,11 @@ func main() {
 }
 
 func run(topo string, n, x int, seed uint64, smallWorld, bottleneck, diversity bool, k int, export string) error {
-	g, d, err := build(topo, n, x, seed)
+	f, err := catalog.Build(catalog.Spec{Name: topo, N: n, X: x, Seed: seed})
 	if err != nil {
 		return err
 	}
+	g, d := f.Graph, f.DSN
 	if export != "" {
 		f, err := os.Create(export)
 		if err != nil {
@@ -114,115 +117,4 @@ func run(topo string, n, x int, seed uint64, smallWorld, bottleneck, diversity b
 			div.DisjointMin, div.DisjointMean, k, 100*div.DisjointMean/div.MinCutMean)
 	}
 	return nil
-}
-
-func build(topo string, n, x int, seed uint64) (*dsnet.Graph, *dsnet.DSN, error) {
-	switch topo {
-	case "dsn":
-		if x == 0 {
-			x = dsnet.CeilLog2(n) - 1
-		}
-		d, err := dsnet.NewDSN(n, x)
-		if err != nil {
-			return nil, nil, err
-		}
-		return d.Graph(), d, nil
-	case "dsn-e":
-		d, err := dsnet.NewDSNE(n)
-		if err != nil {
-			return nil, nil, err
-		}
-		return d.Graph(), d, nil
-	case "dsn-v":
-		d, err := dsnet.NewDSNV(n)
-		if err != nil {
-			return nil, nil, err
-		}
-		return d.Graph(), d, nil
-	case "dsn-d":
-		if x == 0 {
-			x = 2
-		}
-		d, err := dsnet.NewDSND(n, x)
-		if err != nil {
-			return nil, nil, err
-		}
-		return d.Graph(), d, nil
-	case "torus":
-		t, err := dsnet.NewTorus2DFor(n)
-		if err != nil {
-			return nil, nil, err
-		}
-		return t.Graph(), nil, nil
-	case "torus3d":
-		side := 2
-		for side*side*side < n {
-			side++
-		}
-		if side*side*side != n {
-			return nil, nil, fmt.Errorf("n=%d is not a cube", n)
-		}
-		t, err := dsnet.NewTorus3D(side, side, side)
-		if err != nil {
-			return nil, nil, err
-		}
-		return t.Graph(), nil, nil
-	case "random":
-		g, err := dsnet.NewDLNRandom(n, 2, 2, seed)
-		return g, nil, err
-	case "dln":
-		if x == 0 {
-			x = 4
-		}
-		g, err := dsnet.NewDLN(n, x)
-		return g, nil, err
-	case "ring":
-		g, err := dsnet.NewRing(n)
-		return g, nil, err
-	case "kleinberg":
-		side := 1
-		for side*side < n {
-			side++
-		}
-		if side*side != n {
-			return nil, nil, fmt.Errorf("n=%d is not a square", n)
-		}
-		k, err := dsnet.NewKleinberg(side, 1, seed)
-		if err != nil {
-			return nil, nil, err
-		}
-		return k.Graph(), nil, nil
-	case "hypercube":
-		d := 0
-		for 1<<uint(d) < n {
-			d++
-		}
-		if 1<<uint(d) != n {
-			return nil, nil, fmt.Errorf("n=%d is not a power of two", n)
-		}
-		g, err := dsnet.NewHypercube(d)
-		return g, nil, err
-	case "ccc":
-		d := 3
-		for d<<uint(d) < n {
-			d++
-		}
-		if d<<uint(d) != n {
-			return nil, nil, fmt.Errorf("n=%d is not d*2^d for any d", n)
-		}
-		g, err := dsnet.NewCCC(d)
-		return g, nil, err
-	case "debruijn":
-		m := 2
-		for 1<<uint(m) < n {
-			m++
-		}
-		if 1<<uint(m) != n {
-			return nil, nil, fmt.Errorf("n=%d is not a power of two", n)
-		}
-		g, err := dsnet.NewDeBruijn(m)
-		return g, nil, err
-	default:
-		return nil, nil, fmt.Errorf("unknown topology %q", topo)
-	}
 }

@@ -2,53 +2,13 @@ package main
 
 import "testing"
 
-func TestBuildAllTopologies(t *testing.T) {
-	cases := []struct {
-		topo string
-		n, x int
-		want int // expected switch count
-	}{
-		{"dsn", 64, 0, 64},
-		{"dsn-e", 60, 0, 60},
-		{"dsn-v", 60, 0, 60},
-		{"dsn-d", 1024, 0, 1024},
-		{"torus", 64, 0, 64},
-		{"torus3d", 64, 0, 64},
-		{"random", 64, 0, 64},
-		{"dln", 64, 0, 64},
-		{"ring", 64, 0, 64},
-		{"kleinberg", 64, 0, 64},
-		{"hypercube", 64, 0, 64},
-		{"ccc", 24, 0, 24}, // 3 * 2^3
-		{"debruijn", 64, 0, 64},
-	}
-	for _, c := range cases {
-		g, _, err := build(c.topo, c.n, c.x, 1)
-		if err != nil {
-			t.Errorf("%s: %v", c.topo, err)
-			continue
-		}
-		if g.N() != c.want {
-			t.Errorf("%s: N=%d, want %d", c.topo, g.N(), c.want)
-		}
-	}
-}
-
+// TestBuildRejectsBadShapes checks that run refuses what the catalog
+// refuses (internal/catalog tests every shape): a size the family
+// cannot take and an unknown name.
 func TestBuildRejectsBadShapes(t *testing.T) {
-	bad := []struct {
-		topo string
-		n    int
-	}{
-		{"torus3d", 65},   // not a cube
-		{"kleinberg", 65}, // not a square
-		{"hypercube", 65}, // not a power of two
-		{"ccc", 25},       // not d*2^d
-		{"debruijn", 65},  // not a power of two
-		{"nonsense", 64},
-	}
-	for _, c := range bad {
-		if _, _, err := build(c.topo, c.n, 0, 1); err == nil {
-			t.Errorf("%s n=%d accepted", c.topo, c.n)
+	for _, topo := range []string{"torus3d", "nonsense"} {
+		if err := run(topo, 65, 0, 1, false, false, false, 4, ""); err == nil {
+			t.Errorf("%s n=65 accepted", topo)
 		}
 	}
 }

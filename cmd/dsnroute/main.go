@@ -19,6 +19,7 @@ import (
 	"sort"
 
 	"dsnet"
+	"dsnet/internal/catalog"
 )
 
 func main() {
@@ -47,22 +48,21 @@ func main() {
 	}
 }
 
-func buildDSN(n int, variant string) (*dsnet.DSN, error) {
-	switch variant {
-	case "basic":
-		return dsnet.NewDSN(n, dsnet.CeilLog2(n)-1)
-	case "e":
-		return dsnet.NewDSNE(n)
-	case "v":
-		return dsnet.NewDSNV(n)
-	case "d":
-		return dsnet.NewDSND(n, 2)
+// variants maps each -variant onto its catalog fabric.
+var variants = map[string]string{"basic": "dsn", "e": "dsn-e", "v": "dsn-v", "d": "dsn-d"}
+
+// dsnOf looks the variant up in the catalog and builds it at n switches.
+func dsnOf(n int, variant string) (*dsnet.DSN, error) {
+	name, ok := variants[variant]
+	if !ok {
+		return nil, fmt.Errorf("unknown variant %q", variant)
 	}
-	return nil, fmt.Errorf("unknown variant %q", variant)
+	f, err := catalog.Build(catalog.Spec{Name: name, N: n})
+	return f.DSN, err
 }
 
 func run(n int, variant string, s, t int, algo string, report bool, stride int) error {
-	d, err := buildDSN(n, variant)
+	d, err := dsnOf(n, variant)
 	if err != nil {
 		return err
 	}
@@ -113,7 +113,7 @@ func run(n int, variant string, s, t int, algo string, report bool, stride int) 
 // exact routes the spraying router loads into packet headers — plus the
 // Menger min-cut bound that caps how many disjoint paths exist at all.
 func runMultipath(n int, variant string, s, t, k int) error {
-	d, err := buildDSN(n, variant)
+	d, err := dsnOf(n, variant)
 	if err != nil {
 		return err
 	}

@@ -10,6 +10,7 @@
 //	dsnsim -topo torus -pattern transpose -rates 0.02,0.05,0.1
 //	dsnsim -topo dsn -pattern stencil-2d -switching wormhole
 //	dsnsim -topo dsn-v -routing custom -rates 0.01,0.02
+//	dsnsim -topo torus -n 16 -routing dor
 //	dsnsim -topo dsn -faults 0.05
 //	dsnsim -topo dsn -collective allreduce -collalgo ring
 //	dsnsim -topo torus -collective broadcast -faults 0.05
@@ -23,6 +24,7 @@ import (
 	"strings"
 
 	"dsnet"
+	"dsnet/internal/catalog"
 	"dsnet/internal/harness"
 )
 
@@ -83,10 +85,11 @@ var runner *harness.Runner
 
 func main() {
 	var o opts
-	flag.StringVar(&o.topo, "topo", "dsn", "topology: dsn, dsn-v, torus, random")
+	flag.StringVar(&o.topo, "topo", "dsn", "topology: "+strings.Join(catalog.FabricNames, ", "))
 	flag.StringVar(&o.pattern, "pattern", "uniform",
 		"traffic: "+strings.Join(dsnet.PatternNames, ", "))
-	flag.StringVar(&o.routing, "routing", "adaptive", "routing: adaptive (Duato + up*/down* escape), updown, valiant, custom (DSN source-routed; needs -topo dsn-v)")
+	flag.StringVar(&o.routing, "routing", "adaptive",
+		"routing: "+strings.Join(catalog.RouterNames, ", ")+" or "+catalog.MultipathPattern+" (adaptive: Duato + up*/down* escape; custom needs -topo dsn-e or dsn-v, unsafe -topo dsn, dor a torus)")
 	flag.IntVar(&o.n, "n", 64, "number of switches")
 	flag.Uint64Var(&o.seed, "seed", 1, "simulation seed")
 	flag.StringVar(&o.rates, "rates", "0.02,0.04,0.06,0.08,0.10,0.12", "offered loads in flits/cycle/host")
@@ -170,86 +173,30 @@ func run(o opts) error {
 		rates = append(rates, r)
 	}
 
-	var g *dsnet.Graph
-	var dsnV *dsnet.DSN
-	switch o.topo {
-	case "dsn":
-		d, err := dsnet.NewDSN(o.n, dsnet.CeilLog2(o.n)-1)
-		if err != nil {
-			return err
-		}
-		g = d.Graph()
-	case "dsn-v":
-		d, err := dsnet.NewDSNV(o.n)
-		if err != nil {
-			return err
-		}
-		dsnV = d
-		g = d.Graph()
-	case "torus":
-		t, err := dsnet.NewTorus2DFor(o.n)
-		if err != nil {
-			return err
-		}
-		g = t.Graph()
-	case "random":
-		gr, err := dsnet.NewDLNRandom(o.n, 2, 2, o.seed)
-		if err != nil {
-			return err
-		}
-		g = gr
-	default:
-		return fmt.Errorf("unknown topology %q", o.topo)
+	fab, err := catalog.Build(catalog.Spec{Name: o.topo, N: o.n, Seed: o.seed})
+	if err != nil {
+		return err
 	}
+	g := fab.Graph
 
 	// Multipath replaces the -routing scheme wholesale: the routing label
 	// (and so every cell key and printed header) carries the selector and
 	// path budget instead.
-	var mpSel dsnet.MultipathSelector
 	if o.multipath {
-		var err error
-		mpSel, err = dsnet.ParseSelector(o.selector)
+		sel, err := dsnet.ParseSelector(o.selector)
 		if err != nil {
 			return err
 		}
-		o.routing = fmt.Sprintf("mp-%s-k%d", mpSel, o.k)
+		o.routing = catalog.MultipathName(sel, o.k)
 	}
-
 	// mkRouter builds a fresh router per cell: construction is
 	// deterministic, and fault-aware routers mutate their tables as
 	// faults land, so sharing one instance across offered loads would
-	// leak degraded state between points.
-	mkRouter := func() (dsnet.Router, error) {
-		if o.multipath {
-			return dsnet.NewMultipath(g, dsnet.MultipathConfig{
-				K: o.k, VCs: cfg.VCs, Selector: mpSel, Seed: o.seed,
-			})
-		}
-		switch o.routing {
-		case "adaptive":
-			return dsnet.NewDuatoUpDown(g, cfg.VCs)
-		case "updown":
-			return dsnet.NewUpDownOnly(g, cfg.VCs)
-		case "valiant":
-			return dsnet.NewValiant(g, cfg.VCs)
-		case "custom":
-			if dsnV == nil {
-				return nil, fmt.Errorf("-routing custom requires -topo dsn-v")
-			}
-			return dsnet.NewDSNSourceRouted(dsnV)
-		}
-		return nil, fmt.Errorf("unknown routing %q", o.routing)
-	}
-	if !o.multipath {
-		switch o.routing {
-		case "adaptive", "updown", "valiant":
-		case "custom":
-			if dsnV == nil {
-				return fmt.Errorf("-routing custom requires -topo dsn-v")
-			}
-		default:
-			return fmt.Errorf("unknown routing %q", o.routing)
-		}
+	// leak degraded state between points. A router the fabric cannot
+	// carry is refused here, before any cell runs.
+	mkRouter, err := catalog.Router(o.routing, fab, cfg.VCs, o.seed)
+	if err != nil {
+		return err
 	}
 
 	if !o.recover && (o.drainFaults || o.stall > 0) {
@@ -269,7 +216,6 @@ func run(o opts) error {
 		recFP = harness.Fingerprint(fmt.Sprintf("%+v", rec))
 	}
 
-	var err error
 	var plan *dsnet.FaultPlan
 	if o.faults > 0 {
 		start, spread := o.faultCycle, o.faultSpread

@@ -1,10 +1,13 @@
 package main
 
 import (
+	"errors"
 	"io"
 	"os"
 	"strings"
 	"testing"
+
+	"dsnet/internal/catalog"
 )
 
 // quick returns short-schedule options for tests.
@@ -79,8 +82,20 @@ func TestRunWormhole(t *testing.T) {
 }
 
 func TestRunCustomRouting(t *testing.T) {
-	if err := run(quick("dsn-v", "uniform", "custom", 60, "0.01", "vct", 0)); err != nil {
-		t.Fatal(err)
+	for _, topo := range []string{"dsn-v", "dsn-e"} {
+		if err := run(quick(topo, "uniform", "custom", 60, "0.01", "vct", 0)); err != nil {
+			t.Fatalf("%s: %v", topo, err)
+		}
+	}
+}
+
+// TestRunDOR runs dimension-order routing, which needs a torus, on both
+// engines.
+func TestRunDOR(t *testing.T) {
+	for _, switching := range []string{"vct", "wormhole"} {
+		if err := run(quick("torus", "uniform", "dor", 16, "0.02", switching, 0)); err != nil {
+			t.Fatalf("%s: %v", switching, err)
+		}
 	}
 }
 
@@ -152,8 +167,9 @@ func TestRunRejections(t *testing.T) {
 	if err := run(quick("dsn", "uniform", "bogus", 64, "0.02", "vct", 0)); err == nil {
 		t.Fatal("bad routing accepted")
 	}
-	if err := run(quick("dsn", "uniform", "custom", 64, "0.02", "vct", 0)); err == nil {
-		t.Fatal("custom routing without dsn-v accepted")
+	var unsupported *catalog.UnsupportedError
+	if err := run(quick("dsn", "uniform", "custom", 64, "0.02", "vct", 0)); !errors.As(err, &unsupported) {
+		t.Fatalf("custom routing on the basic DSN: got %v, want a catalog.UnsupportedError", err)
 	}
 	if err := run(quick("dsn", "uniform", "adaptive", 64, "zzz", "vct", 0)); err == nil {
 		t.Fatal("bad rates accepted")

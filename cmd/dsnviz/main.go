@@ -14,15 +14,17 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"dsnet"
+	"dsnet/internal/catalog"
 	"dsnet/internal/viz"
 )
 
 func main() {
 	var (
 		what = flag.String("what", "topo", "what to draw: topo, floor, fig7, fig8, fig9, fig10a, fig10b, fig10c, balance")
-		topo = flag.String("topo", "dsn", "topology for topo/floor: dsn, dsn-e, bidsn, torus, random")
+		topo = flag.String("topo", "dsn", "topology for topo/floor: "+strings.Join(catalog.FabricNames, ", "))
 		n    = flag.Int("n", 64, "switches for topo/floor")
 		out  = flag.String("out", "", "output file (default stdout)")
 		seed = flag.Uint64("seed", 1, "seed")
@@ -46,57 +48,21 @@ func main() {
 	fmt.Fprintf(os.Stderr, "wrote %s (%d bytes)\n", *out, len(svg))
 }
 
-func buildGraph(topo string, n int, seed uint64) (*dsnet.Graph, error) {
-	switch topo {
-	case "dsn":
-		d, err := dsnet.NewDSN(n, dsnet.CeilLog2(n)-1)
-		if err != nil {
-			return nil, err
-		}
-		return d.Graph(), nil
-	case "dsn-e":
-		d, err := dsnet.NewDSNE(n)
-		if err != nil {
-			return nil, err
-		}
-		return d.Graph(), nil
-	case "bidsn":
-		b, err := dsnet.NewBidirectionalDSN(n)
-		if err != nil {
-			return nil, err
-		}
-		return b.Graph(), nil
-	case "torus":
-		t, err := dsnet.NewTorus2DFor(n)
-		if err != nil {
-			return nil, err
-		}
-		return t.Graph(), nil
-	case "random":
-		return dsnet.NewDLNRandom(n, 2, 2, seed)
-	default:
-		return nil, fmt.Errorf("unknown topology %q", topo)
-	}
-}
-
 func render(what, topo string, n int, seed uint64, size int, fast bool) (string, error) {
 	switch what {
-	case "topo":
-		g, err := buildGraph(topo, n, seed)
+	case "topo", "floor":
+		f, err := catalog.Build(catalog.Spec{Name: topo, N: n, Seed: seed})
 		if err != nil {
 			return "", err
 		}
-		return viz.RingSVG(g, size), nil
-	case "floor":
-		g, err := buildGraph(topo, n, seed)
-		if err != nil {
-			return "", err
+		if what == "topo" {
+			return viz.RingSVG(f.Graph, size), nil
 		}
 		l, err := dsnet.NewLayout(n, dsnet.DefaultLayoutConfig())
 		if err != nil {
 			return "", err
 		}
-		return viz.FloorplanSVG(l, g, size)
+		return viz.FloorplanSVG(l, f.Graph, size)
 	case "fig7", "fig8":
 		rows, err := dsnet.PathSweep(context.Background(), nil, []int{5, 6, 7, 8, 9, 10, 11}, []uint64{seed})
 		if err != nil {

@@ -26,51 +26,34 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 
-	"dsnet/internal/core"
+	"dsnet/internal/catalog"
 	"dsnet/internal/graph"
 	"dsnet/internal/harness"
 	"dsnet/internal/layout"
-	"dsnet/internal/topology"
 )
 
 // Topologies compared in the graph and layout analyses, in presentation
 // order.
 var Names = []string{"Torus", "RANDOM", "DSN"}
 
-// buildOne constructs one named comparison topology at n switches.
-// Sweep cells rebuild their own topology from (name, n, seed) so that a
-// cell is a pure function of its key; construction is deterministic, so
-// per-cell rebuilds cost a little CPU and buy full independence.
-func buildOne(name string, n int, seed uint64) (*graph.Graph, error) {
-	switch name {
-	case "DSN":
-		d, err := core.New(n, core.CeilLog2(n)-1)
-		if err != nil {
-			return nil, fmt.Errorf("analysis: DSN at n=%d: %w", n, err)
-		}
-		return d.Graph(), nil
-	case "Torus":
-		t, err := topology.Torus2DFor(n)
-		if err != nil {
-			return nil, fmt.Errorf("analysis: torus at n=%d: %w", n, err)
-		}
-		return t.Graph(), nil
-	case "RANDOM":
-		g, err := topology.DLNRandom(n, 2, 2, seed)
-		if err != nil {
-			return nil, fmt.Errorf("analysis: DLN-2-2 at n=%d: %w", n, err)
-		}
-		return g, nil
-	}
-	return nil, fmt.Errorf("analysis: unknown comparison topology %q", name)
-}
-
 // BuildTopology constructs one named comparison topology (see Names)
-// at n switches — the exported entry point request-driven callers
-// (dsnserve) use to turn a topology name into a graph.
+// at n switches; the RANDOM instance uses the given seed. Sweep cells
+// rebuild their own topology from (name, n, seed) so that a cell is a
+// pure function of its key; construction is deterministic, so per-cell
+// rebuilds cost a little CPU and buy full independence. Request-driven
+// callers (dsnserve) use it too, so it refuses every other catalog
+// fabric.
 func BuildTopology(name string, n int, seed uint64) (*graph.Graph, error) {
-	return buildOne(name, n, seed)
+	if !slices.Contains(Names, name) {
+		return nil, fmt.Errorf("analysis: unknown comparison topology %q", name)
+	}
+	f, err := catalog.Build(catalog.Spec{Name: name, N: n, Seed: seed})
+	if err != nil {
+		return nil, fmt.Errorf("analysis: %s at n=%d: %w", name, n, err)
+	}
+	return f.Graph, nil
 }
 
 // BuildComparison constructs the paper's three degree-4 comparison
@@ -78,7 +61,7 @@ func BuildTopology(name string, n int, seed uint64) (*graph.Graph, error) {
 func BuildComparison(n int, seed uint64) (map[string]*graph.Graph, error) {
 	out := make(map[string]*graph.Graph, len(Names))
 	for _, name := range Names {
-		g, err := buildOne(name, n, seed)
+		g, err := BuildTopology(name, n, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -121,7 +104,7 @@ func PathSweep(ctx context.Context, r *harness.Runner, logSizes []int, seeds []u
 				key := harness.NewKey("path")
 				key.Topo, key.N, key.Seed = name, n, seed
 				cells = append(cells, harness.Cell[pathCell]{Key: key, Run: func() (pathCell, error) {
-					g, err := buildOne(name, n, seed)
+					g, err := BuildTopology(name, n, seed)
 					if err != nil {
 						return pathCell{}, err
 					}
@@ -193,7 +176,7 @@ func CableSweep(ctx context.Context, r *harness.Runner, logSizes []int, seeds []
 				key.Topo, key.N, key.Seed = name, n, seed
 				key.Params = []harness.Param{harness.P("layout", layoutFP)}
 				cells = append(cells, harness.Cell[float64]{Key: key, Run: func() (float64, error) {
-					g, err := buildOne(name, n, seed)
+					g, err := BuildTopology(name, n, seed)
 					if err != nil {
 						return 0, err
 					}

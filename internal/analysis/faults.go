@@ -56,7 +56,7 @@ func FaultSweep(ctx context.Context, r *harness.Runner, n int, fracs []float64, 
 		key := harness.NewKey("fault-base")
 		key.Topo, key.N, key.Seed = name, n, seed
 		baseCells = append(baseCells, harness.Cell[faultTrialCell]{Key: key, Run: func() (faultTrialCell, error) {
-			g, err := buildOne(name, n, seed)
+			g, err := BuildTopology(name, n, seed)
 			if err != nil {
 				return faultTrialCell{}, err
 			}
@@ -81,7 +81,7 @@ func FaultSweep(ctx context.Context, r *harness.Runner, n int, fracs []float64, 
 				key.Topo, key.N, key.Seed = name, n, seed
 				key.Params = []harness.Param{harness.Pf("frac", frac), harness.Pd("trial", int64(trial))}
 				cells = append(cells, harness.Cell[faultTrialCell]{Key: key, Run: func() (faultTrialCell, error) {
-					g, err := buildOne(name, n, seed)
+					g, err := BuildTopology(name, n, seed)
 					if err != nil {
 						return faultTrialCell{}, err
 					}
@@ -188,7 +188,7 @@ func DegradationSweep(ctx context.Context, r *harness.Runner, cfg netsim.Config,
 			key.N, key.Rate, key.Seed = n, rate, seed
 			key.Params = []harness.Param{harness.Pf("frac", frac), harness.P("cfg", cfgFP)}
 			cells = append(cells, harness.Cell[DegradationRow]{Key: key, Run: func() (DegradationRow, error) {
-				g, err := buildOne(name, n, seed)
+				g, err := BuildTopology(name, n, seed)
 				if err != nil {
 					return DegradationRow{}, err
 				}

@@ -6,8 +6,8 @@ import (
 	"io"
 	"strings"
 
+	"dsnet/internal/catalog"
 	"dsnet/internal/collectives"
-	"dsnet/internal/graph"
 	"dsnet/internal/harness"
 	"dsnet/internal/multipath"
 	"dsnet/internal/netsim"
@@ -75,20 +75,23 @@ func mpScheme(scheme string) (k int, sel multipath.Selector, ok bool) {
 	return kv, s, true
 }
 
-// mpRouter builds the router a scheme names. Table construction is a
+// mpRouter builds the router a scheme names on f: its catalog router
+// is the adaptive one for "single", the custom one for "dsn-custom" and
+// the multipath one for "mp-k<k>-<selector>". Table construction is a
 // deterministic pure function of (g, k), so rebuilding it inside each
 // cell keeps cells independent without changing results.
-func mpRouter(scheme string, g *graph.Graph, dsnCustom func() (netsim.Router, error), cfg netsim.Config, seed uint64) (netsim.Router, error) {
-	if scheme == "dsn-custom" {
-		if dsnCustom == nil {
-			return nil, fmt.Errorf("analysis: scheme dsn-custom needs a DSN variant graph")
-		}
-		return dsnCustom()
-	}
+func mpRouter(scheme string, f catalog.Fabric, cfg netsim.Config, seed uint64) (netsim.Router, error) {
+	name := "adaptive"
 	if k, sel, ok := mpScheme(scheme); ok {
-		return multipath.New(g, multipath.Config{K: k, VCs: cfg.VCs, Selector: sel, Seed: seed})
+		name = catalog.MultipathName(sel, k)
+	} else if scheme == "dsn-custom" {
+		name = "custom"
 	}
-	return netsim.NewDuatoUpDown(g, cfg.VCs)
+	mk, err := catalog.Router(name, f, cfg.VCs, seed)
+	if err != nil {
+		return nil, err
+	}
+	return mk()
 }
 
 // MultipathSweep compares single-path routing against multipath spraying
@@ -108,22 +111,22 @@ func MultipathSweep(ctx context.Context, r *harness.Runner, cfg netsim.Config, n
 		// The DSN series rides the deadlock-free DSN-V wiring (nearest
 		// valid size at or below n) so that the paper's custom source
 		// routing and the multipath schemes compare on identical fabric.
-		build := func() (*graph.Graph, func() (netsim.Router, error), error) {
+		build := func() (catalog.Fabric, error) {
 			if name == "DSN" {
 				d, err := dsnVFor(n)
 				if err != nil {
-					return nil, nil, err
+					return catalog.Fabric{}, err
 				}
-				return d.Graph(), func() (netsim.Router, error) { return netsim.NewDSNSourceRouted(d) }, nil
+				return catalog.Fabric{Graph: d.Graph(), DSN: d}, nil
 			}
-			g, err := buildOne(name, n, seed)
-			return g, nil, err
+			g, err := BuildTopology(name, n, seed)
+			return catalog.Fabric{Graph: g}, err
 		}
-		g0, _, err := build()
+		f0, err := build()
 		if err != nil {
 			return nil, err
 		}
-		graphFP := harness.GraphFingerprint(g0)
+		graphFP := harness.GraphFingerprint(f0.Graph)
 		schemes := MultipathSchemes
 		if name == "DSN" {
 			schemes = append([]string{"dsn-custom"}, schemes...)
@@ -135,7 +138,7 @@ func MultipathSweep(ctx context.Context, r *harness.Runner, cfg netsim.Config, n
 				workload := workload
 				key := harness.NewKey("multipath")
 				key.Topo, key.Routing, key.Switching, key.Pattern = name, scheme, "vct", workload
-				key.N, key.Rate, key.Seed = g0.N(), rate, seed
+				key.N, key.Rate, key.Seed = f0.Graph.N(), rate, seed
 				key.Params = []harness.Param{
 					harness.P("graph", graphFP),
 					harness.P("cfg", cfgFP),
@@ -146,14 +149,15 @@ func MultipathSweep(ctx context.Context, r *harness.Runner, cfg netsim.Config, n
 					key.Params = append(key.Params, harness.P("selector", sel.String()))
 				}
 				cells = append(cells, harness.Cell[MultipathRow]{Key: key, Run: func() (MultipathRow, error) {
-					g, dsnCustom, err := build()
+					f, err := build()
 					if err != nil {
 						return MultipathRow{}, err
 					}
-					rt, err := mpRouter(scheme, g, dsnCustom, cfg, seed)
+					rt, err := mpRouter(scheme, f, cfg, seed)
 					if err != nil {
 						return MultipathRow{}, err
 					}
+					g := f.Graph
 					row := MultipathRow{Name: name, Scheme: scheme, Workload: workload, N: g.N(), K: k}
 					switch workload {
 					case "collective":
@@ -274,7 +278,7 @@ func DiversitySweep(ctx context.Context, r *harness.Runner, n int, ks []int, see
 			key.Topo, key.N, key.Seed = name, n, seed
 			key.Params = []harness.Param{harness.Pd("k", int64(k))}
 			cells = append(cells, harness.Cell[DiversityRow]{Key: key, Run: func() (DiversityRow, error) {
-				g, err := buildOne(name, n, seed)
+				g, err := BuildTopology(name, n, seed)
 				if err != nil {
 					return DiversityRow{}, err
 				}

@@ -3,8 +3,8 @@ package chaos
 import (
 	"fmt"
 
+	"dsnet/internal/catalog"
 	"dsnet/internal/multipath"
-	"dsnet/internal/netsim"
 )
 
 // Arm selects the k-shortest-path spraying router for a target: K
@@ -24,11 +24,13 @@ func ArmMultipath(t Target, k int, sel multipath.Selector, vcs int, seed uint64)
 	if t.Graph == nil {
 		return t, fmt.Errorf("chaos: cannot arm multipath on target %q without a graph", t.Name)
 	}
-	base := t.Graph
-	armed := t
-	armed.Name = fmt.Sprintf("%s+mp-%s-k%d", t.Name, sel, k)
-	armed.NewRouter = func() (netsim.Router, error) {
-		return multipath.New(base, multipath.Config{K: k, VCs: vcs, Selector: sel, Seed: seed})
+	name := catalog.MultipathName(sel, k)
+	mk, err := catalog.Router(name, catalog.Fabric{Graph: t.Graph}, vcs, seed)
+	if err != nil {
+		return t, err
 	}
+	armed := t
+	armed.Name = t.Name + "+" + name
+	armed.NewRouter = mk
 	return armed, nil
 }

@@ -3,13 +3,13 @@ package chaos
 import (
 	"bufio"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
-	"dsnet/internal/core"
+	"dsnet/internal/catalog"
 	"dsnet/internal/netsim"
 	"dsnet/internal/recovery"
-	"dsnet/internal/topology"
 )
 
 // Repro is a self-contained, checked-in reproducer for one monitor
@@ -164,78 +164,61 @@ func ParseRepro(data []byte) (*Repro, error) {
 	return r, nil
 }
 
-// BuildTarget constructs a named chaos target. The names are shared by
-// cmd/dsnchaos and the repro corpus, so a checked-in reproducer stays
-// replayable by name alone.
-func BuildTarget(name string, n int) (Target, error) {
-	t := Target{Name: name}
-	switch name {
-	case "torus":
-		tor, err := topology.Torus2DFor(n)
-		if err != nil {
-			return t, err
-		}
-		t.Graph = tor.Graph()
-		t.NewRouter = func() (netsim.Router, error) {
-			return netsim.NewDuatoUpDown(t.Graph, netsim.Default().VCs)
-		}
-	case "random":
-		g, err := topology.DLNRandom(n, 2, 2, 1)
-		if err != nil {
-			return t, err
-		}
-		t.Graph = g
-		t.NewRouter = func() (netsim.Router, error) {
-			return netsim.NewDuatoUpDown(t.Graph, netsim.Default().VCs)
-		}
-	case "dsn":
-		d, err := core.New(n, core.CeilLog2(n)-1)
-		if err != nil {
-			return t, err
-		}
-		t.Graph = d.Graph()
-		t.NewRouter = func() (netsim.Router, error) {
-			return netsim.NewDuatoUpDown(t.Graph, netsim.Default().VCs)
-		}
-	case "dsn-v-custom":
-		d, err := core.NewV(n)
-		if err != nil {
-			return t, err
-		}
-		t.Graph = d.Graph()
-		t.HopTTL = d.RoutingDiameterBound()
-		// The source-routed custom scheme saturates near 0.03
-		// flits/cycle/host at campaign sizes; stay clearly under it.
-		t.SafeRate = 0.02
-		t.NewRouter = func() (netsim.Router, error) {
-			return netsim.NewDSNSourceRouted(d)
-		}
-	case "dsn-basic-unsafe":
-		// The deliberately broken configuration: the basic variant's
-		// custom routing shares ring channels between phases, its CDG
-		// provably cycles (dsnverify flags it), and under load the
-		// simulated fabric genuinely deadlocks — the monitors must
-		// catch it at runtime.
-		d, err := core.New(n, core.CeilLog2(n)-1)
-		if err != nil {
-			return t, err
-		}
-		t.Graph = d.Graph()
-		t.HopTTL = d.RoutingDiameterBound()
-		// Hot enough that the phase-sharing ring channels actually
-		// wedge within the watchdog horizon.
-		t.SafeRate = 0.30
-		t.NewRouter = func() (netsim.Router, error) {
-			return netsim.NewDSNSourceRoutedUnsafe(d)
-		}
-	default:
-		return t, fmt.Errorf("chaos: unknown target %q (want torus, random, dsn, dsn-v-custom, dsn-basic-unsafe)", name)
-	}
-	return t, nil
+// targets is the chaos target table: a catalog fabric and router, the
+// load the target runs at, and whether its hop-ttl monitor takes the
+// DSN's Theorem 1(c) bound of 3p+r.
+var targets = []struct {
+	name, fabric, router string
+	safeRate             float64
+	ttl                  bool
+}{
+	{"torus", "torus", "adaptive", 0, false},
+	{"random", "random", "adaptive", 0, false},
+	{"dsn", "dsn", "adaptive", 0, false},
+	// The source-routed custom scheme saturates near 0.03
+	// flits/cycle/host at campaign sizes; stay clearly under it.
+	{"dsn-v-custom", "dsn-v", "custom", 0.02, true},
+	// The deliberately broken configuration: the basic variant's custom
+	// routing shares ring channels between phases, its CDG provably
+	// cycles (dsnverify flags it), and under load the simulated fabric
+	// genuinely deadlocks — the monitors must catch it at runtime. The
+	// rate is hot enough that the phase-sharing ring channels actually
+	// wedge within the watchdog horizon.
+	{"dsn-basic-unsafe", "dsn", "unsafe", 0.30, true},
 }
 
 // TargetNames lists the BuildTarget names.
-var TargetNames = []string{"torus", "random", "dsn", "dsn-v-custom", "dsn-basic-unsafe"}
+var TargetNames = func() []string {
+	names := make([]string, len(targets))
+	for i, t := range targets {
+		names[i] = t.name
+	}
+	return names
+}()
+
+// BuildTarget constructs a named chaos target. The names are shared by
+// cmd/dsnchaos and the repro corpus, so a checked-in reproducer stays
+// replayable by name alone. The random target's graph is seed 1.
+func BuildTarget(name string, n int) (Target, error) {
+	t := Target{Name: name}
+	i := slices.Index(TargetNames, name)
+	if i < 0 {
+		return t, fmt.Errorf("chaos: unknown target %q (want %s)", name, strings.Join(TargetNames, ", "))
+	}
+	row := targets[i]
+	f, err := catalog.Build(catalog.Spec{Name: row.fabric, N: n, Seed: 1})
+	if err != nil {
+		return t, err
+	}
+	if t.NewRouter, err = catalog.Router(row.router, f, netsim.Default().VCs, 0); err != nil {
+		return t, err
+	}
+	t.Graph, t.SafeRate = f.Graph, row.safeRate
+	if row.ttl {
+		t.HopTTL = f.DSN.RoutingDiameterBound()
+	}
+	return t, nil
+}
 
 // engine builds the chaos engine a reproducer's settings describe.
 func (r *Repro) engine() (*Engine, error) {

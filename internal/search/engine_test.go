@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"dsnet/internal/catalog"
 	"dsnet/internal/harness"
 )
 
@@ -211,11 +212,7 @@ func TestEvaluateRejections(t *testing.T) {
 		}
 	}
 	// A clean DSN genome evaluates fully.
-	g, err := SeedDSN(16, 2)
-	if err != nil {
-		t.Fatalf("SeedDSN: %v", err)
-	}
-	ev, err := Evaluate(g, cfg)
+	ev, err := Evaluate(dsnGenome(t, 16, 2), cfg)
 	if err != nil {
 		t.Fatalf("Evaluate: %v", err)
 	}
@@ -234,10 +231,7 @@ func TestEvaluateCombinedObjective(t *testing.T) {
 		t.Skip("simulation evaluation in -short mode")
 	}
 	cfg := DefaultEvalConfig(Constraints{N: 16, MaxDegree: 6}).Quick()
-	g, err := SeedDSN(16, 2)
-	if err != nil {
-		t.Fatalf("SeedDSN: %v", err)
-	}
+	g := dsnGenome(t, 16, 2)
 	ev, err := Evaluate(g, cfg)
 	if err != nil {
 		t.Fatalf("Evaluate: %v", err)
@@ -259,4 +253,14 @@ func TestEvaluateCombinedObjective(t *testing.T) {
 	if mustJSON(t, again) != mustJSON(t, ev) {
 		t.Fatal("simulation evaluation not deterministic")
 	}
+}
+
+// dsnGenome is the genome of the basic DSN-x-n.
+func dsnGenome(t *testing.T, n, x int) Genome {
+	t.Helper()
+	f, err := catalog.Build(catalog.Spec{Name: "dsn", N: n, X: x})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return FromGraph(f.Graph)
 }

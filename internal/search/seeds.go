@@ -5,8 +5,8 @@ import (
 	"math"
 	"math/rand/v2"
 
+	"dsnet/internal/catalog"
 	"dsnet/internal/core"
-	"dsnet/internal/topology"
 )
 
 // Constraints bound the design space: n switches with at most
@@ -21,45 +21,6 @@ type Constraints struct {
 type Seeded struct {
 	Name   string `json:"name"`
 	Genome Genome `json:"genome"`
-}
-
-// SeedDSN extracts the genome of the paper's basic DSN-x-n: its
-// distance-halving shortcut ladder over the base ring.
-func SeedDSN(n, x int) (Genome, error) {
-	d, err := core.New(n, x)
-	if err != nil {
-		return Genome{}, err
-	}
-	return FromGraph(d.Graph()), nil
-}
-
-// SeedDSND extracts the genome of DSN-D-k (Section V.B short links).
-func SeedDSND(n, k int) (Genome, error) {
-	d, err := core.NewD(n, k)
-	if err != nil {
-		return Genome{}, err
-	}
-	return FromGraph(d.Graph()), nil
-}
-
-// SeedDLN extracts the genome of the distributed loop network DLN-x:
-// the deterministic n/2^k loop ladder every switch owns.
-func SeedDLN(n, x int) (Genome, error) {
-	g, err := topology.DLN(n, x)
-	if err != nil {
-		return Genome{}, err
-	}
-	return FromGraph(g), nil
-}
-
-// SeedDLNRandom extracts the genome of DLN-x-y (the paper's RANDOM
-// topology when x = y = 2), deterministically for the seed.
-func SeedDLNRandom(n, x, y int, seed uint64) (Genome, error) {
-	g, err := topology.DLNRandom(n, x, y, seed)
-	if err != nil {
-		return Genome{}, err
-	}
-	return FromGraph(g), nil
 }
 
 // SeedKleinberg places q Kleinberg-style shortcuts per switch on the
@@ -148,22 +109,26 @@ func SeedPool(c Constraints, seed uint64) ([]Seeded, error) {
 		}
 		pool = append(pool, Seeded{Name: name, Genome: g})
 	}
-	p := core.CeilLog2(n)
-	for x := 1; x <= p-1; x++ {
-		g, err := SeedDSN(n, x)
-		add(fmt.Sprintf("dsn-%d", x), g, err)
+	// The paper's families come from the fabric catalog: the DSN-x
+	// ladders, DSN-D-k, the deterministic DLN-x loops and RANDOM.
+	fromCatalog := func(name string, s catalog.Spec) {
+		f, err := catalog.Build(s)
+		if err != nil {
+			return
+		}
+		add(name, FromGraph(f.Graph), nil)
+	}
+	for x := 1; x <= core.CeilLog2(n)-1; x++ {
+		fromCatalog(fmt.Sprintf("dsn-%d", x), catalog.Spec{Name: "dsn", N: n, X: x})
 	}
 	for _, k := range []int{2, 3} {
-		g, err := SeedDSND(n, k)
-		add(fmt.Sprintf("dsn-d-%d", k), g, err)
+		fromCatalog(fmt.Sprintf("dsn-d-%d", k), catalog.Spec{Name: "dsn-d", N: n, X: k})
 	}
 	for x := 3; x <= 5; x++ {
-		g, err := SeedDLN(n, x)
-		add(fmt.Sprintf("dln-%d", x), g, err)
+		fromCatalog(fmt.Sprintf("dln-%d", x), catalog.Spec{Name: "dln", N: n, X: x})
 	}
 	if n%2 == 0 {
-		g, err := SeedDLNRandom(n, 2, 2, seed)
-		add("dln-2-2", g, err)
+		fromCatalog("dln-2-2", catalog.Spec{Name: "random", N: n, Seed: seed})
 	}
 	for i, alpha := range []float64{1.0, 1.5, 2.0} {
 		g, err := SeedKleinberg(c, 1, alpha, seed+uint64(i))

@@ -38,6 +38,7 @@ import (
 	"fmt"
 	"strings"
 
+	"dsnet/internal/catalog"
 	"dsnet/internal/core"
 	"dsnet/internal/graph"
 	"dsnet/internal/multipath"
@@ -294,6 +295,10 @@ func StandardCombos(o Options) []*Combo {
 	// mapping, plus the known-negative basic variant.
 	for _, variant := range []core.Variant{core.VariantE, core.VariantV} {
 		lower := strings.ToLower(variant.String())
+		build := func() (*core.DSN, error) {
+			f, err := catalog.Build(catalog.Spec{Name: lower, N: o.DSNEVSize})
+			return f.DSN, err
+		}
 		add(&Combo{
 			Name:     fmt.Sprintf("%s-%d/custom/classes", lower, o.DSNEVSize),
 			Topology: fmt.Sprintf("%s-%d", variant, o.DSNEVSize),
@@ -301,7 +306,7 @@ func StandardCombos(o Options) []*Combo {
 			VCs:      len(dsnClassSet(variant)),
 			Doc:      "Section V.A channel grouping (Theorem 3)",
 		}, func() (*routing.CDG, []CheckResult, error) {
-			d, err := buildDSN(variant, o.DSNEVSize)
+			d, err := build()
 			if err != nil {
 				return nil, nil, err
 			}
@@ -315,7 +320,7 @@ func StandardCombos(o Options) []*Combo {
 			VCs:      3,
 			Doc:      "netsim ClassVC mapping onto 3 simulator VCs (dedicated wires kept distinct)",
 		}, func() (*routing.CDG, []CheckResult, error) {
-			d, err := buildDSN(variant, o.DSNEVSize)
+			d, err := build()
 			if err != nil {
 				return nil, nil, err
 			}
@@ -462,18 +467,6 @@ func graphCases(o Options) []graphCase {
 				return tor.Graph(), nil
 			},
 		},
-	}
-}
-
-// buildDSN constructs the requested deadlock-free DSN variant.
-func buildDSN(v core.Variant, n int) (*core.DSN, error) {
-	switch v {
-	case core.VariantE:
-		return core.NewE(n)
-	case core.VariantV:
-		return core.NewV(n)
-	default:
-		return nil, fmt.Errorf("verify: unsupported DSN variant %v", v)
 	}
 }
 
