@@ -6,8 +6,10 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"slices"
 
 	"dsnet/internal/analysis"
+	"dsnet/internal/chaos"
 	"dsnet/internal/harness"
 	"dsnet/internal/layout"
 	"dsnet/internal/netsim"
@@ -121,15 +123,17 @@ func (q *Request) normalize(kind string) error {
 		if q.Topo == "" {
 			q.Topo = "DSN"
 		}
-		if q.Pattern == "" {
-			q.Pattern = "uniform"
+		if !slices.Contains(analysis.Names, q.Topo) {
+			return fmt.Errorf("unknown topo %q (topologies: %v)", q.Topo, analysis.Names)
 		}
-		if len(q.Rates) == 0 {
-			q.Rates = []float64{0.02, 0.06, 0.10}
-		}
+		fallthrough
 	case "fig10":
 		if q.Pattern == "" {
 			q.Pattern = "uniform"
+		}
+		// analysis.PatternFor also takes "alltoall" for "all-to-all".
+		if !slices.Contains(analysis.PatternNames, q.Pattern) && q.Pattern != "alltoall" {
+			return fmt.Errorf("unknown pattern %q (patterns: %v)", q.Pattern, analysis.PatternNames)
 		}
 		if len(q.Rates) == 0 {
 			q.Rates = []float64{0.02, 0.06, 0.10}
@@ -170,6 +174,11 @@ func (q *Request) normalize(kind string) error {
 	case "chaos":
 		if len(q.Targets) == 0 {
 			q.Targets = []string{"torus"}
+		}
+		for _, t := range q.Targets {
+			if !slices.Contains(chaos.TargetNames, t) {
+				return fmt.Errorf("unknown chaos target %q (targets: %v)", t, chaos.TargetNames)
+			}
 		}
 		if q.N == 64 { // the generic default; chaos targets prefer 36
 			q.N = 36

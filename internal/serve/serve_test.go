@@ -181,6 +181,9 @@ func TestInvalidRequestsRejected(t *testing.T) {
 		`{"family":"fault","n":4}`,
 		`{"family":"fault","nope":1}`,
 		`not json`,
+		`{"family":"latency","topo":"bogus"}`,
+		`{"family":"chaos","targets":["bogus"]}`,
+		`{"family":"fig10","pattern":"bogus"}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -191,8 +194,13 @@ func TestInvalidRequestsRejected(t *testing.T) {
 			t.Fatalf("body %q: status %d, want 400", body, resp.StatusCode)
 		}
 	}
-	if snap := stats(t, ts.URL); snap.Rejected != 4 {
-		t.Fatalf("rejected = %d, want 4", snap.Rejected)
+	if snap := stats(t, ts.URL); snap.Rejected != 7 {
+		t.Fatalf("rejected = %d, want 7", snap.Rejected)
+	}
+	// PatternFor's "alltoall" alias is still admitted.
+	alias := Request{Family: "latency", Pattern: "alltoall"}
+	if err := alias.normalize("sweep"); err != nil {
+		t.Fatalf("alltoall refused: %v", err)
 	}
 }
 
