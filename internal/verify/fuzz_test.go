@@ -12,8 +12,8 @@ import (
 // FuzzUpDownTotality builds up*/down* tables over random small DLN
 // topologies — optionally fault-degraded by a random edge-kill mask —
 // and asserts the verify invariants never fire: totality holds on the
-// surviving graph and the resulting CDG certifies acyclic at every VC
-// budget the simulator uses.
+// surviving graph, the resulting CDG certifies acyclic at every VC
+// budget the simulator uses, and the walk matches its per-pair oracle.
 func FuzzUpDownTotality(f *testing.F) {
 	f.Add(uint8(16), uint8(2), uint8(2), uint64(7), uint64(0))
 	f.Add(uint8(24), uint8(1), uint8(3), uint64(1), uint64(0x55))
@@ -35,6 +35,9 @@ func FuzzUpDownTotality(f *testing.F) {
 		}
 		if err := UpDownTotality(alive, ud); err != nil {
 			t.Fatalf("totality fired: %v", err)
+		}
+		if err := sameWalk(alive, ud); err != nil {
+			t.Fatalf("walk differs from the per-pair walk (mask %x): %v", killMask, err)
 		}
 		for _, vcs := range []int{1, 4} {
 			cdg, err := UpDownChannels(alive, ud, vcs)
