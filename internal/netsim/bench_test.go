@@ -82,7 +82,7 @@ func simCycleCases(tb testing.TB) []simCycleCase {
 	rec.WarmupCycles, rec.MeasureCycles, rec.DrainCycles = 2000, 8000, 10000
 	patV := traffic.Uniform{Hosts: dv.N * rec.HostsPerSwitch}
 	cases = append(cases, simCycleCase{
-		name: "worm-dsnv36/rate=0.02/recover", switches: dv.N, allocs: 2602,
+		name: "worm-dsnv36/rate=0.02/recover", switches: dv.N, allocs: 2424,
 		build: func() (*netsim.Sim, error) {
 			s, err := netsim.NewWormSim(rec, dv.Graph(), srcRouted, patV, 0.02)
 			if err != nil {
@@ -105,7 +105,7 @@ func simCycleCases(tb testing.TB) []simCycleCase {
 		netsim.SwitchUp(8000, 7),
 	)
 	cases = append(cases, simCycleCase{
-		name: "worm-dsnv36/rate=0.02/chaos", switches: dv.N, allocs: 3835,
+		name: "worm-dsnv36/rate=0.02/chaos", switches: dv.N, allocs: 2943,
 		build: func() (*netsim.Sim, error) {
 			rt, err := netsim.NewDSNSourceRouted(dv)
 			if err != nil {
@@ -218,7 +218,7 @@ func TestDSNSourceRoutedAllocs(t *testing.T) {
 	for _, c := range []struct {
 		n      int
 		allocs float64
-	}{{36, 23}, {60, 25}} {
+	}{{36, 21}, {60, 23}} {
 		d, err := core.NewV(c.n)
 		if err != nil {
 			t.Fatal(err)

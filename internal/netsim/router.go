@@ -230,12 +230,16 @@ func (r *UpDownOnly) Candidates(st PacketState, sw int, buf []Candidate) []Candi
 // custom/3vc combinations), and re-certifies the ring detours after
 // every fault event (CertifyDegradedDSN).
 type DSNSourceRouted struct {
-	d      *core.DSN
-	routes [][]core.Hop // [src*n+dst]
-	// pins holds, aligned with routes, the physical edge each hop rides
+	d *core.DSN
+	// hops holds every pair's route, pair after pair in (src, dst)
+	// order; end[src*n+dst] is the arena length after the pair, so the
+	// route runs from the previous pair's end to its own.
+	hops []core.Hop
+	end  []int32
+	// pins holds, aligned with hops, the physical edge each hop rides
 	// (+1, 0 = any): for DSN-E the Up and Extra classes must use their
 	// dedicated links rather than the parallel ring wire.
-	pins [][]int32
+	pins []int32
 
 	// Fault state (UpdateFaults). When the precomputed route's next hop
 	// dies under a packet, the packet abandons the route and re-sources
@@ -283,8 +287,9 @@ func NewDSNSourceRoutedUnsafe(d *core.DSN) (*DSNSourceRouted, error) {
 }
 
 // newDSNSourceRouted routes all n² pairs into one hop arena and one pin
-// arena, then slices them per pair, so the number of allocations does
-// not grow with the number of pairs (TestDSNSourceRoutedAllocs).
+// arena, addressed by each pair's end offset, so the number of
+// allocations does not grow with the number of pairs
+// (TestDSNSourceRoutedAllocs).
 func newDSNSourceRouted(d *core.DSN) (*DSNSourceRouted, error) {
 	n := d.N
 	var (
@@ -322,16 +327,7 @@ func newDSNSourceRouted(d *core.DSN) (*DSNSourceRouted, error) {
 			hops, pins = slices.Grow(hops, want-len(hops)), slices.Grow(pins, want-len(pins))
 		}
 	}
-	r := &DSNSourceRouted{d: d, routes: make([][]core.Hop, n*n), pins: make([][]int32, n*n)}
-	start := int32(0)
-	for i, e := range end {
-		if e > start {
-			r.routes[i] = hops[start:e:e]
-			r.pins[i] = pins[start:e:e]
-		}
-		start = e
-	}
-	return r, nil
+	return &DSNSourceRouted{d: d, hops: hops, end: end, pins: pins}, nil
 }
 
 // physicalEdgeFor returns the dedicated DSN-E edge a hop's class demands:
@@ -390,11 +386,14 @@ func (r *DSNSourceRouted) Candidates(st PacketState, sw int, buf []Candidate) []
 		return r.detourCandidates(st, sw, buf)
 	}
 	idx := int(st.SrcSw)*r.d.N + int(st.DstSw)
-	route := r.routes[idx]
-	if int(st.Step) >= len(route) {
+	at := int(st.Step)
+	if idx > 0 {
+		at += int(r.end[idx-1])
+	}
+	if at >= int(r.end[idx]) {
 		return buf
 	}
-	h := route[st.Step]
+	h := r.hops[at]
 	if int(h.From) != sw {
 		// Desync would indicate a simulator bug; offer nothing so the
 		// test harness notices the stall.
@@ -404,7 +403,7 @@ func (r *DSNSourceRouted) Candidates(st PacketState, sw int, buf []Candidate) []
 	if err != nil {
 		return buf
 	}
-	pin := r.pins[idx][st.Step]
+	pin := r.pins[at]
 	if r.faulted {
 		if r.swDead[st.DstSw] {
 			return buf // destination gone; transport times the packet out

@@ -113,6 +113,19 @@ func (c *CDG) channel(h ChannelHop) int32 {
 // (single-hop routes still occupy their channel).
 func (c *CDG) AddChannel(h ChannelHop) { c.channel(h) }
 
+// ChannelID registers h as AddChannel does and returns its ID, for
+// AddDependencyID: a caller that adds many dependencies on one channel
+// looks it up once.
+func (c *CDG) ChannelID(h ChannelHop) int32 { return c.channel(h) }
+
+// AddDependencyID is AddDependency on two channels ChannelID returned.
+func (c *CDG) AddDependencyID(from, to int32) {
+	if c.lift != 1 {
+		panic("routing: a lifted CDG is read-only")
+	}
+	c.addDependency(from, to)
+}
+
 // AddDependency records that some route can hold channel `from` while
 // requesting channel `to`. Callers enumerating adaptive routing
 // functions use it directly to add the cross product of candidate

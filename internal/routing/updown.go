@@ -111,8 +111,11 @@ func buildUpDown(g *graph.Graph, root int, level []int32) *UpDown {
 	for rank, id := range ids {
 		u.order[id] = int32(rank)
 	}
+	// One scratch block serves every destination: buildDst overwrites
+	// all of it.
+	scratch, adown := make([]int32, 4*n), make([]bool, n)
 	for dst := 0; dst < n; dst++ {
-		u.buildDst(dst, ids)
+		u.buildDst(dst, ids, scratch, adown)
 	}
 	return u
 }
@@ -121,23 +124,20 @@ func buildUpDown(g *graph.Graph, root int, level []int32) *UpDown {
 func (u *UpDown) IsUp(a, b int) bool { return u.order[b] < u.order[a] }
 
 // buildDst fills the next-hop tables toward dst. ids holds all switches in
-// ascending rank order (root first).
-func (u *UpDown) buildDst(dst int, ids []int) {
+// ascending rank order (root first). scratch (4n) and adown (n) are
+// working space; their contents on entry do not matter.
+func (u *UpDown) buildDst(dst int, ids []int, scratch []int32, adown []bool) {
 	n := u.n
 	const inf = int32(1) << 30
-	// ddist[v]: shortest down-only distance from v to dst. Down moves
-	// strictly increase... no: a down move from v goes to w with
-	// rank(w) > rank(v). So compute by scanning ranks in DESCENDING order:
-	// ddist[v] = 1 + min over down-neighbors w (rank(w) > rank(v)).
-	ddist := make([]int32, n)
+	ddist, dnext, full, anext := scratch[:n], scratch[n:2*n], scratch[2*n:3*n], scratch[3*n:]
+	// ddist[v]: shortest down-only distance from v to dst. A down move
+	// from v goes to a w of higher rank, so scanning ranks in descending
+	// order settles every down-neighbour first:
+	// ddist[v] = 1 + min over down-neighbours w of ddist[w].
 	for i := range ddist {
-		ddist[i] = inf
+		ddist[i], dnext[i] = inf, -1
 	}
 	ddist[dst] = 0
-	dnext := make([]int32, n)
-	for i := range dnext {
-		dnext[i] = -1
-	}
 	for i := n - 1; i >= 0; i-- {
 		v := ids[i]
 		if v == dst {
@@ -154,9 +154,6 @@ func (u *UpDown) buildDst(dst int, ids []int) {
 	// full[v]: shortest legal (up* then down*) distance. An up move from v
 	// goes to w with rank(w) < rank(v), so process ranks in ASCENDING
 	// order; full[v] = min(ddist[v], 1 + min over up-neighbors full[w]).
-	full := make([]int32, n)
-	anext := make([]int32, n)
-	adown := make([]bool, n)
 	for i := 0; i < n; i++ {
 		v := ids[i]
 		full[v] = ddist[v]

@@ -26,11 +26,11 @@ type walk struct {
 }
 
 // walkState is one reachable (switch, RtState) state of a packet at the
-// current step, with the channels it can hold on arrival.
+// current step, with the IDs of the channels it can hold on arrival.
 type walkState struct {
 	sw   int32
 	rt   uint8
-	held []routing.ChannelHop
+	held []int32
 }
 
 // stateCheck judges one walked state: the packet state, its switch and
@@ -93,12 +93,9 @@ func walkRouter(rt netsim.Router, g *graph.Graph, vcs int, swDead []bool, visit 
 						}
 						escape = true
 						detoured = detoured || c.Detour
-						ch := routing.ChannelHop{From: at.sw, To: c.Next, Class: uint8(c.VC)}
-						if len(at.held) == 0 {
-							w.cdg.AddChannel(ch)
-						}
+						ch := w.cdg.ChannelID(routing.ChannelHop{From: at.sw, To: c.Next, Class: uint8(c.VC)})
 						for _, h := range at.held {
-							w.cdg.AddDependency(h, ch)
+							w.cdg.AddDependencyID(h, ch)
 						}
 						if int(c.Next) != t {
 							next = arrive(next, c.Next, c.NewState, ch)
@@ -134,8 +131,9 @@ func push(states []walkState, sw int32, rt uint8) []walkState {
 	return states
 }
 
-// arrive records that channel ch can be held on arrival at (sw, rt).
-func arrive(states []walkState, sw int32, rt uint8, ch routing.ChannelHop) []walkState {
+// arrive records that the channel with ID ch can be held on arrival at
+// (sw, rt).
+func arrive(states []walkState, sw int32, rt uint8, ch int32) []walkState {
 	i := 0
 	for i < len(states) && (states[i].sw != sw || states[i].rt != rt) {
 		i++
