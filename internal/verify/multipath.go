@@ -67,8 +67,12 @@ func CheckMultipathTotality(g *graph.Graph, tab *multipath.Table) CheckResult {
 // whether one survives). Deadlock freedom only needs the rebuilt escape
 // to stay acyclic — pairs whose sprayed paths all die divert
 // permanently onto it. The faulted:multipath-live check records the
-// live/diverted/unreachable pair split for the report; diversion and
-// disconnection are legal under faults, so it always holds.
+// live/diverted/unreachable pair split for the report: a pair without a
+// live sprayed path is diverted when the escape routes it, and
+// disconnected otherwise, which covers both a pair the faults cut apart
+// and a pair of an off-root component with no up*/down*-legal route
+// (the escape offers its packets no hop). Diversion and disconnection
+// are legal under faults, so the check always holds.
 func CertifyDegradedMultipath(g *graph.Graph, tab *multipath.Table, edgeDead, swDead []bool, vcs int) Certificate {
 	cert := Certificate{
 		Combo:    "degraded/multipath",
@@ -92,13 +96,13 @@ func CertifyDegradedMultipath(g *graph.Graph, tab *multipath.Table, edgeDead, sw
 			if s == d || swAt(swDead, d) {
 				continue
 			}
-			switch {
+			switch next, _ := ud.NextHop(s, d, false); {
 			case tab.Set(s, d).AnyLive(g, edgeDead, swDead):
 				live++
-			case w.comp[s] == w.comp[d]:
+			case next >= 0:
 				diverted++ // all sprayed paths dead: rides the escape
 			default:
-				unreachable++ // cut off: the transport timeout drains it
+				unreachable++ // no escape route: the transport timeout drains it
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"dsnet/internal/core"
+	"dsnet/internal/graph"
 	"dsnet/internal/multipath"
 	"dsnet/internal/topology"
 )
@@ -110,6 +111,35 @@ func TestDegradedMultipathStaysCertified(t *testing.T) {
 	}
 	if a, b := checkDetail(base, "faulted:multipath-live"), checkDetail(last, "faulted:multipath-live"); a != b {
 		t.Errorf("repair did not restore live-path accounting: %q vs %q", a, b)
+	}
+}
+
+// TestDegradedMultipathUnroutableOffRoot pins the live/diverted split
+// on a fault set that leaves an off-root component whose up*/down*
+// ranking has no legal route for some pair. Cutting 2-3 and 3-4 off a
+// six-switch fabric leaves {0, 1, 2} with the root and the path 3-5-4
+// apart from it. Off-root switches rank by ID, so 3->4 and 4->3 would go
+// down to 5 and then up, and the escape offers them no hop; their one
+// sprayed path (k=1), the dead link 3-4, is gone too. They count as
+// disconnected, not diverted, as do the 18 pairs across the cut.
+func TestDegradedMultipathUnroutableOffRoot(t *testing.T) {
+	g := graph.New(6)
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {3, 5}, {5, 4}} {
+		g.AddEdge(e[0], e[1], graph.KindRandom)
+	}
+	tab, err := multipath.BuildTable(g, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edgeDead := make([]bool, g.M())
+	edgeDead[2], edgeDead[3] = true, true
+	cert := CertifyDegradedMultipath(g, tab, edgeDead, nil, 1)
+	if !cert.OK() {
+		t.Fatalf("status %v, err %q, failed checks %v", cert.Status, cert.Err, cert.FailedChecks())
+	}
+	want := "10 pairs keep a sprayed path, 0 diverted to escape, 20 disconnected"
+	if det := checkDetail(&cert, "faulted:multipath-live"); det != want {
+		t.Errorf("detail %q, want %q", det, want)
 	}
 }
 
