@@ -161,7 +161,9 @@ var faultTimelines = func() (faultSection, error) {
 			{"updown-escape", func(ed, sd []bool) verify.Certificate {
 				return verify.CertifyDegradedUpDown(g, ed, sd, 4)
 			}, true},
-			{"dsn-ring-detour", verify.DegradedDSNCertifier(d), false},
+			{"dsn-ring-detour", func(ed, sd []bool) verify.Certificate {
+				return verify.CertifyDegradedDSN(d, ed, sd)
+			}, false},
 		},
 	}, nil
 }

@@ -245,6 +245,32 @@ func (d *DSN) Shortcut(i int) int { return int(d.shortcut[i]) }
 // (always false for the basic variant).
 func (d *DSN) HasUp(i int) bool { return d.hasUp != nil && d.hasUp[i] }
 
+// DedicatedWire returns the physical link a DSN-E hop must ride: Up hops
+// ride their KindUp link and Extra hops their KindExtra link, never the
+// parallel ring wire. need is false for the other classes and variants,
+// whose hops may ride any wire to the next switch; edge is -1 when a
+// needed wire is missing.
+func (d *DSN) DedicatedWire(h Hop) (edge int, need bool) {
+	if d.Variant != VariantE {
+		return -1, false
+	}
+	var want graph.EdgeKind
+	switch h.Class {
+	case ClassUp:
+		want = graph.KindUp
+	case ClassExtraPred, ClassExtraSucc:
+		want = graph.KindExtra
+	default:
+		return -1, false
+	}
+	for _, half := range d.g.Neighbors(int(h.From)) {
+		if half.To == h.To && d.g.Edge(int(half.Edge)).Kind == want {
+			return int(half.Edge), true
+		}
+	}
+	return -1, true
+}
+
 // Succ returns the clockwise ring neighbor of i.
 func (d *DSN) Succ(i int) int { return (i + 1) % d.N }
 

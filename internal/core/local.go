@@ -49,78 +49,19 @@ func (d *DSN) NextHopLocal(u, t int, in LinkClass) (LocalDecision, error) {
 	if u == t {
 		return LocalDecision{Eject: true}, nil
 	}
-	dist := d.ClockwiseDist(u, t)
+	var phase Phase
 	switch in {
 	case ClassInjection, ClassUp:
-		return d.phaseALocal(u, t, dist), nil
-	case ClassSucc:
-		return d.mainLocal(u, t, dist, false), nil
-	case ClassShortcut:
-		return d.mainLocal(u, t, dist, true), nil
-	case ClassPred, ClassExtraPred:
-		return d.finishPred(u, t), nil
-	case ClassFinishSucc, ClassExtraSucc:
-		return d.finishSucc(u, t), nil
+		phase = PhasePreWork
+	case ClassSucc, ClassShortcut:
+		phase = PhaseMain
+	case ClassPred, ClassExtraPred, ClassFinishSucc, ClassExtraSucc:
+		phase = PhaseFinish
 	default:
 		return LocalDecision{}, fmt.Errorf("core: unknown arrival class %v", in)
 	}
-}
-
-// phaseALocal is the PRE-WORK decision: climb while the local level is
-// above the required one, otherwise fall through to MAIN.
-func (d *DSN) phaseALocal(u, t, dist int) LocalDecision {
-	l := d.levelFor(dist)
-	if d.LevelOf(u) > l {
-		class := ClassPred
-		if d.HasUp(u) {
-			class = ClassUp
-		}
-		return LocalDecision{Next: d.Pred(u), Class: class, Phase: PhasePreWork}
-	}
-	return d.mainLocal(u, t, dist, false)
-}
-
-// mainLocal is the MAIN-PROCESS decision, including the LOOP-STOP
-// conditions. arrivedByShortcut enables the overshoot check: a shortcut
-// is the only hop that can pass t, and an overshot packet sees a huge
-// clockwise distance (more than n/2, which a legitimate post-shortcut
-// distance can never be).
-func (d *DSN) mainLocal(u, t, dist int, arrivedByShortcut bool) LocalDecision {
-	if arrivedByShortcut && dist > d.N/2 {
-		return d.finishPred(u, t)
-	}
-	if dist <= d.P {
-		return d.finishSucc(u, t)
-	}
-	lu := d.LevelOf(u)
-	if lu == d.X+1 {
-		return d.finishSucc(u, t)
-	}
-	l := d.levelFor(dist)
-	if lu == l && d.shortcut[u] >= 0 {
-		return LocalDecision{Next: int(d.shortcut[u]), Class: ClassShortcut, Phase: PhaseMain}
-	}
-	return LocalDecision{Next: d.Succ(u), Class: ClassSucc, Phase: PhaseMain}
-}
-
-// finishPred walks counterclockwise to cover an overshoot, riding the
-// Extra channels inside the window for destinations inside the window.
-func (d *DSN) finishPred(u, t int) LocalDecision {
-	class := ClassPred
-	if t < 2*d.P && u >= 1 && u <= 2*d.P {
-		class = ClassExtraPred
-	}
-	return LocalDecision{Next: d.Pred(u), Class: class, Phase: PhaseFinish}
-}
-
-// finishSucc walks clockwise to cover an undershoot.
-func (d *DSN) finishSucc(u, t int) LocalDecision {
-	to := d.Succ(u)
-	class := ClassFinishSucc
-	if t < 2*d.P && to >= 1 && to <= 2*d.P {
-		class = ClassExtraSucc
-	}
-	return LocalDecision{Next: to, Class: class, Phase: PhaseFinish}
+	h, _ := d.NextHop(u, t, Hop{Class: in, Phase: phase})
+	return LocalDecision{Next: int(h.To), Class: h.Class, Phase: h.Phase}, nil
 }
 
 // RouteLocal routes s -> t by iterating the switch-local logic, exactly

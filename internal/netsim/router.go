@@ -213,10 +213,10 @@ func (r *UpDownOnly) Candidates(st PacketState, sw int, buf []Candidate) []Candi
 
 // DSNSourceRouted drives the simulator with the paper's custom DSN
 // routing (the Section VII "initial work" on custom-routing simulations):
-// every packet follows the deterministic three-phase route computed at
-// injection time, and the Section V.A channel classes are mapped onto
-// virtual channels so that the simulated channel sequences match the
-// deadlock-free CDG verified in internal/routing:
+// every packet follows the deterministic three-phase route, one
+// core.(*DSN).NextHop step per switch, and the Section V.A channel
+// classes are mapped onto virtual channels so that the simulated channel
+// sequences match the deadlock-free CDG verified in internal/routing:
 //
 //	VC 0: Up (PRE-WORK), Succ + Shortcut (MAIN)
 //	VC 1: Pred, FinishSucc (FINISH outside the Extra window)
@@ -229,34 +229,34 @@ func (r *UpDownOnly) Candidates(st PacketState, sw int, buf []Candidate) []Candi
 // walking this router's Candidates over every pair (the dsnverify
 // custom/3vc combinations), and re-certifies the ring detours after
 // every fault event (CertifyDegradedDSN).
+//
+// The router keeps no per-pair state: a packet's RtState carries the
+// phase and class of the hop that brought it to its switch, which is all
+// NextHop needs, so building one costs nothing.
 type DSNSourceRouted struct {
 	d *core.DSN
-	// hops holds every pair's route, pair after pair in (src, dst)
-	// order; end[src*n+dst] is the arena length after the pair, so the
-	// route runs from the previous pair's end to its own.
-	hops []core.Hop
-	end  []int32
-	// pins holds, aligned with hops, the physical edge each hop rides
-	// (+1, 0 = any): for DSN-E the Up and Extra classes must use their
-	// dedicated links rather than the parallel ring wire.
-	pins []int32
 
-	// Fault state (UpdateFaults). When the precomputed route's next hop
-	// dies under a packet, the packet abandons the route and re-sources
-	// onto a ring-only detour toward its destination (RtState bit 0),
-	// walking whichever direction is shorter and reversing if it hits a
-	// cut (bit 1). Detours ride the FINISH-phase channel classes; they
-	// are best-effort — a pathological fault set can cycle them, and the
+	// Fault state (UpdateFaults). When the route's next hop dies under a
+	// packet, the packet abandons the route and re-sources onto a
+	// ring-only detour toward its destination (RtState bit 0), walking
+	// whichever direction is shorter and reversing if it hits a cut
+	// (bit 1). Detours ride the FINISH-phase channel classes; they are
+	// best-effort — a pathological fault set can cycle them, and the
 	// simulator's timeout/retry transport is the liveness backstop.
 	edgeDead []bool
 	swDead   []bool
 	faulted  bool
 }
 
-// RtState bits for fault detours.
+// RtState layout. Bits 0-1 are the fault-detour bits. On the route,
+// bits 2-3 hold the phase and bits 4-6 the class of the hop that brought
+// the packet to its switch: zero, core.NextHop's zero Hop, at the source
+// and after every reinjection.
 const (
-	dsnDetour uint8 = 1 << 0 // packet abandoned its precomputed route
-	dsnCCW    uint8 = 1 << 1 // detour walks counterclockwise (pred links)
+	dsnDetour     uint8 = 1 << 0 // packet abandoned its route
+	dsnCCW        uint8 = 1 << 1 // detour walks counterclockwise (pred links)
+	dsnPhaseShift       = 2
+	dsnClassShift       = 4
 )
 
 // UpdateFaults implements FaultAware.
@@ -266,14 +266,14 @@ func (r *DSNSourceRouted) UpdateFaults(edgeDead, swDead []bool) {
 	r.faulted = slices.Contains(r.edgeDead, true) || slices.Contains(r.swDead, true)
 }
 
-// NewDSNSourceRouted precomputes all-pairs routes with the DSN custom
-// routing algorithm. It requires a deadlock-free variant (DSN-E or DSN-V)
-// so the channel classes are meaningful.
+// NewDSNSourceRouted builds the router with the DSN custom routing
+// algorithm. It requires a deadlock-free variant (DSN-E or DSN-V) so the
+// channel classes are meaningful.
 func NewDSNSourceRouted(d *core.DSN) (*DSNSourceRouted, error) {
 	if d.Variant != core.VariantE && d.Variant != core.VariantV {
 		return nil, fmt.Errorf("netsim: source-routed DSN needs variant E or V, got %v", d.Variant)
 	}
-	return newDSNSourceRouted(d)
+	return &DSNSourceRouted{d: d}, nil
 }
 
 // NewDSNSourceRoutedUnsafe builds the custom routing for the BASIC DSN
@@ -283,72 +283,7 @@ func NewDSNSourceRouted(d *core.DSN) (*DSNSourceRouted, error) {
 // that the Section V.A channels are necessary: under load the simulation
 // genuinely deadlocks and the run watchdog trips.
 func NewDSNSourceRoutedUnsafe(d *core.DSN) (*DSNSourceRouted, error) {
-	return newDSNSourceRouted(d)
-}
-
-// newDSNSourceRouted routes all n² pairs into one hop arena and one pin
-// arena, addressed by each pair's end offset, so the number of
-// allocations does not grow with the number of pairs
-// (TestDSNSourceRoutedAllocs).
-func newDSNSourceRouted(d *core.DSN) (*DSNSourceRouted, error) {
-	n := d.N
-	var (
-		hops []core.Hop
-		pins []int32
-		err  error
-	)
-	end := make([]int32, n*n) // end[s*n+t]: arena length after the pair
-	for s := 0; s < n; s++ {
-		for t := 0; t < n; t++ {
-			if s != t {
-				if hops, err = d.AppendRoute(hops, s, t); err != nil {
-					return nil, err
-				}
-			}
-			for _, h := range hops[len(pins):] {
-				if _, err := ClassVC(h.Class); err != nil {
-					return nil, err
-				}
-				pin := int32(0)
-				if d.Variant == core.VariantE {
-					if e, ok := physicalEdgeFor(d, h); ok {
-						pin = int32(e) + 1
-					}
-				}
-				pins = append(pins, pin)
-			}
-			end[s*n+t] = int32(len(hops))
-		}
-		if s == 0 {
-			// Size the arenas from the first row. Switch 0 sits at level
-			// 1 and needs no PRE-WORK, so its routes are short: the whole
-			// table measures 1.2 to 1.3 times n first rows.
-			want := len(hops) * n * 11 / 8
-			hops, pins = slices.Grow(hops, want-len(hops)), slices.Grow(pins, want-len(pins))
-		}
-	}
-	return &DSNSourceRouted{d: d, hops: hops, end: end, pins: pins}, nil
-}
-
-// physicalEdgeFor returns the dedicated DSN-E edge a hop's class demands:
-// Up hops ride KindUp links, Extra hops ride KindExtra links. Other
-// classes keep the default edge choice.
-func physicalEdgeFor(d *core.DSN, h core.Hop) (int, bool) {
-	var want graph.EdgeKind
-	switch h.Class {
-	case core.ClassUp:
-		want = graph.KindUp
-	case core.ClassExtraPred, core.ClassExtraSucc:
-		want = graph.KindExtra
-	default:
-		return 0, false
-	}
-	for _, half := range d.Graph().Neighbors(int(h.From)) {
-		if half.To == h.To && d.Graph().Edge(int(half.Edge)).Kind == want {
-			return int(half.Edge), true
-		}
-	}
-	return 0, false
+	return &DSNSourceRouted{d: d}, nil
 }
 
 // ClassVC maps a Section V.A channel class to its virtual channel in the
@@ -367,11 +302,11 @@ func ClassVC(c core.LinkClass) (int8, error) {
 }
 
 // HopBound implements HopBounder with Theorem 1(c)'s routing-diameter
-// bound 3p+r: no precomputed custom route is longer, so a packet at or
-// past the bound that is still on its route (not a fault detour —
-// detoured packets set Rerouted and are exempt from TTL monitoring)
-// witnesses a routing bug. The simulator's hop-ttl monitor uses this as
-// the per-packet TTL when the chaos engine arms it.
+// bound 3p+r: no custom route is longer, so a packet at or past the
+// bound that is still on its route (not a fault detour — detoured
+// packets set Rerouted and are exempt from TTL monitoring) witnesses a
+// routing bug. The simulator's hop-ttl monitor uses this as the
+// per-packet TTL when the chaos engine arms it.
 func (r *DSNSourceRouted) HopBound() int { return r.d.RoutingDiameterBound() }
 
 // Candidates implements Router. The custom routing is deterministic, so
@@ -385,25 +320,16 @@ func (r *DSNSourceRouted) Candidates(st PacketState, sw int, buf []Candidate) []
 	if st.RtState&dsnDetour != 0 {
 		return r.detourCandidates(st, sw, buf)
 	}
-	idx := int(st.SrcSw)*r.d.N + int(st.DstSw)
-	at := int(st.Step)
-	if idx > 0 {
-		at += int(r.end[idx-1])
+	last := core.Hop{
+		Phase: core.Phase(st.RtState >> dsnPhaseShift & 3),
+		Class: core.LinkClass(st.RtState >> dsnClassShift & 7),
 	}
-	if at >= int(r.end[idx]) {
-		return buf
+	h, _ := r.d.NextHop(sw, int(st.DstSw), last)
+	vc, _ := ClassVC(h.Class) // NextHop emits mapped classes only
+	pin := int32(0)
+	if e, need := r.d.DedicatedWire(h); need && e >= 0 {
+		pin = int32(e) + 1
 	}
-	h := r.hops[at]
-	if int(h.From) != sw {
-		// Desync would indicate a simulator bug; offer nothing so the
-		// test harness notices the stall.
-		return buf
-	}
-	vc, err := ClassVC(h.Class)
-	if err != nil {
-		return buf
-	}
-	pin := r.pins[at]
 	if r.faulted {
 		if r.swDead[st.DstSw] {
 			return buf // destination gone; transport times the packet out
@@ -412,16 +338,18 @@ func (r *DSNSourceRouted) Candidates(st PacketState, sw int, buf []Candidate) []
 		if !ok {
 			// The planned hop is dead under us: re-source onto the ring,
 			// preferring the direction with the shorter surviving walk.
-			ns := st.RtState | dsnDetour
+			st.RtState = dsnDetour
 			if 2*r.d.ClockwiseDist(sw, int(st.DstSw)) > r.d.N {
-				ns |= dsnCCW
+				st.RtState |= dsnCCW
 			}
-			st.RtState = ns
 			return r.detourCandidates(st, sw, buf)
 		}
 		pin = alive
 	}
-	return append(buf, Candidate{Next: h.To, VC: vc, Escape: true, Edge: pin, NewState: st.RtState})
+	return append(buf, Candidate{
+		Next: h.To, VC: vc, Escape: true, Edge: pin,
+		NewState: uint8(h.Phase)<<dsnPhaseShift | uint8(h.Class)<<dsnClassShift,
+	})
 }
 
 // detourCandidates offers the next ring hop of a fault detour. If the

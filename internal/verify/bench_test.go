@@ -21,10 +21,9 @@ var (
 // chaos-resilience cell certifies: DSN-V with 36 switches and its
 // seed-1 burst and rolling-cabinet plans over the 2000..10000-cycle
 // fault window. Each timeline certificate re-certifies after every
-// event, as the cell does: the DSN custom router's degraded tables, the
+// event, as the cell does: the DSN custom router's degraded walk, the
 // k=4 multipath escape at 4 VCs, and the recovery escape.
-// "dsn-custom" builds the DSN router per event (CertifyDegradedDSN),
-// "dsn-custom-timeline" once per timeline (DegradedDSNCertifier). "all"
+// "dsn-custom" walks the DSN custom router (CertifyDegradedDSN). "all"
 // is the standard dsnverify matrix.
 func BenchmarkCertify(b *testing.B) {
 	const n, vcs = 36, 4
@@ -60,16 +59,6 @@ func BenchmarkCertify(b *testing.B) {
 			timeline(b, plan, func(edgeDead, swDead []bool) verify.Certificate {
 				return verify.CertifyDegradedDSN(d, edgeDead, swDead)
 			})
-		})
-		b.Run(kind.String()+"/dsn-custom-timeline", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				entries, err := verify.CertifyFaultTimeline(g, plan, verify.DegradedDSNCertifier(d))
-				if err != nil {
-					b.Fatal(err)
-				}
-				timelineSink = entries
-			}
 		})
 		b.Run(kind.String()+"/multipath-k4", func(b *testing.B) {
 			timeline(b, plan, func(edgeDead, swDead []bool) verify.Certificate {

@@ -37,13 +37,14 @@ func CertifyDegradedUpDown(g *graph.Graph, edgeDead, swDead []bool, vcs int) Cer
 
 // CertifyDegradedDSN certifies the fault-tolerant DSN source routing on
 // a degraded fabric by walking netsim.DSNSourceRouted itself after its
-// UpdateFaults (nil or short masks count as alive): packets
-// follow their precomputed route until a hop dies under them, then
-// re-source onto a ring-only detour (shorter surviving direction first,
-// reversing once per switch at a cut) riding the FINISH-phase channel
-// classes. The router is built with NewDSNSourceRoutedUnsafe, which
-// also accepts the basic variant; the certificate reports whether its
-// CDG is cyclic. It is one call of a fresh DegradedDSNCertifier.
+// UpdateFaults (nil or short masks count as alive): packets follow the
+// custom route until a hop dies under them, then re-source onto a
+// ring-only detour (shorter surviving direction first, reversing once
+// per switch at a cut) riding the FINISH-phase channel classes. The
+// router is built with NewDSNSourceRoutedUnsafe, which also accepts the
+// basic variant; the certificate reports whether its CDG is cyclic.
+// The router keeps no per-pair state, so building one per call costs
+// nothing.
 //
 // The detour is best-effort by design: it ignores the Extra-window
 // destination scoping that Theorem 3 uses to break the ring cycle, so a
@@ -55,43 +56,31 @@ func CertifyDegradedUpDown(g *graph.Graph, edgeDead, swDead []bool, vcs int) Cer
 // check counts the pairs that detour and the pairs whose walk never
 // arrives (boxed in, or oscillating past the walk's step cap).
 func CertifyDegradedDSN(d *core.DSN, edgeDead, swDead []bool) Certificate {
-	return DegradedDSNCertifier(d)(edgeDead, swDead)
-}
-
-// DegradedDSNCertifier returns a certifier of d's degraded DSN source
-// routing for one fault timeline: it builds the router once and hands
-// each fault set, padded to full length, to its UpdateFaults, so every
-// call certifies exactly what CertifyDegradedDSN does. The precomputed routes do not depend on
-// the fault set; Candidates decides the detours from the masks. The
-// certifier is not safe for concurrent use.
-func DegradedDSNCertifier(d *core.DSN) func(edgeDead, swDead []bool) Certificate {
+	cert := Certificate{
+		Combo:    "degraded/dsn-custom",
+		Topology: fmt.Sprintf("%s (%d dead edges, %d dead switches)", d, countTrue(edgeDead), countTrue(swDead)),
+		Routing:  "dsn-custom+ring-detour",
+		VCs:      3,
+		Doc:      "walk of the fault re-sourcing onto ring detours",
+	}
 	rt, err := netsim.NewDSNSourceRoutedUnsafe(d)
-	// The router indexes its masks directly; missing entries are alive.
-	ed, sd := make([]bool, d.Graph().M()), make([]bool, d.N)
-	return func(edgeDead, swDead []bool) Certificate {
-		cert := Certificate{
-			Combo:    "degraded/dsn-custom",
-			Topology: fmt.Sprintf("%s (%d dead edges, %d dead switches)", d, countTrue(edgeDead), countTrue(swDead)),
-			Routing:  "dsn-custom+ring-detour",
-			VCs:      3,
-			Doc:      "walk of the fault re-sourcing onto ring detours",
-		}
-		if err != nil {
-			finish(&cert, nil, err)
-			return cert
-		}
-		clear(ed[copy(ed, edgeDead):])
-		clear(sd[copy(sd, swDead):])
-		rt.UpdateFaults(ed, sd)
-		w := walkRouter(rt, d.Graph(), cert.VCs, sd, nil)
-		cert.Checks = append(cert.Checks, CheckResult{
-			Name:   "faulted:delivery",
-			OK:     true, // drops are legal under faults; recorded for the report
-			Detail: fmt.Sprintf("%d pairs detoured, %d pairs degraded to timeout-drop", w.detoured, w.dropped),
-		})
-		finish(&cert, w.cdg, nil)
+	if err != nil {
+		finish(&cert, nil, err)
 		return cert
 	}
+	// The router indexes its masks directly; missing entries are alive.
+	ed, sd := make([]bool, d.Graph().M()), make([]bool, d.N)
+	copy(ed, edgeDead)
+	copy(sd, swDead)
+	rt.UpdateFaults(ed, sd)
+	w := walkRouter(rt, d.Graph(), cert.VCs, sd, nil)
+	cert.Checks = append(cert.Checks, CheckResult{
+		Name:   "faulted:delivery",
+		OK:     true, // drops are legal under faults; recorded for the report
+		Detail: fmt.Sprintf("%d pairs detoured, %d pairs degraded to timeout-drop", w.detoured, w.dropped),
+	})
+	finish(&cert, w.cdg, nil)
+	return cert
 }
 
 func swAt(swDead []bool, i int) bool { return len(swDead) > i && swDead[i] }
