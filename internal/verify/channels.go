@@ -3,7 +3,6 @@ package verify
 import (
 	"fmt"
 
-	"dsnet/internal/core"
 	"dsnet/internal/graph"
 	"dsnet/internal/routing"
 )
@@ -200,30 +199,4 @@ func walkUpDown(g *graph.Graph, ud *routing.UpDown) *updownWalk {
 		}
 	}
 	return w
-}
-
-// DSNClassChannels builds the CDG of the DSN custom routing at the
-// paper's channel-class granularity (Section V.A): one channel per
-// (link direction, LinkClass), on d's graph at core.NumClasses classes.
-// route is d.Route or d.RouteShortAware.
-func DSNClassChannels(d *core.DSN, route func(s, t int) (*core.Route, error)) (*routing.CDG, error) {
-	cdg := routing.NewCDG(d.Graph(), core.NumClasses)
-	var hops []routing.ChannelHop
-	for s := 0; s < d.N; s++ {
-		for t := 0; t < d.N; t++ {
-			if s == t {
-				continue
-			}
-			r, err := route(s, t)
-			if err != nil {
-				return nil, err
-			}
-			hops = hops[:0]
-			for _, h := range r.Hops {
-				hops = append(hops, routing.ChannelHop{From: h.From, To: h.To, Class: uint8(h.Class)})
-			}
-			cdg.AddRoute(hops)
-		}
-	}
-	return cdg, nil
 }

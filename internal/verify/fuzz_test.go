@@ -82,17 +82,21 @@ func FuzzDSNRouteInvariants(f *testing.F) {
 		if d.N > 160 {
 			t.Skip() // keep the all-pairs walks cheap
 		}
-		route := d.Route
+		route := d.AppendRoute
 		if d.Variant == core.VariantD {
-			route = d.RouteShortAware
+			route = appendShortAware(d)
 		}
-		for _, chk := range DSNInvariants(d) {
+		w := walkDSN(d, route, false)
+		if w.err != nil {
+			t.Fatalf("routing failed on %s: %v", d, w.err)
+		}
+		for _, chk := range DSNInvariants(d, w.maxLen) {
 			if !chk.OK {
 				t.Fatalf("%s fired on %s: %s", chk.Name, d, chk.Detail)
 			}
 		}
-		if err := DSNTotality(d, route); err != nil {
-			t.Fatalf("totality fired on %s: %v", d, err)
+		if w.totality != nil {
+			t.Fatalf("totality fired on %s: %v", d, w.totality)
 		}
 		if d.Variant == core.VariantE || d.Variant == core.VariantV {
 			rt, err := netsim.NewDSNSourceRouted(d)

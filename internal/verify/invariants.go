@@ -29,12 +29,12 @@ func maxDegreeBound(v core.Variant) int {
 //   - degree-bound: max degree within the variant's cap, min degree >= 2
 //   - diameter-bound: graph diameter <= 2.5p + r (Theorem 1(b), when
 //     x > p - log p)
-//   - routing-diameter-bound: every custom route <= 3p + r hops
-//     (Theorem 1(c), when x > p - log p; checked separately by
-//     CheckDSNTotality's route walk for variants where bounds apply)
+//   - routing-diameter-bound: maxRoute, the longest custom route (a
+//     walkDSN pass), <= 3p + r hops (Theorem 1(c), when x > p - log p,
+//     except for DSN-D, whose walks are short-aware)
 //   - dsnd-diameter: DSN-D diameter <= 7p/4 (+2 implementation slack
 //     for small n, matching the Section V.B statement)
-func DSNInvariants(d *core.DSN) []CheckResult {
+func DSNInvariants(d *core.DSN, maxRoute int) []CheckResult {
 	var checks []CheckResult
 
 	g := d.Graph()
@@ -65,41 +65,12 @@ func DSNInvariants(d *core.DSN) []CheckResult {
 		})
 	}
 	if d.BoundsApply() && d.Variant != core.VariantD {
-		route := d.Route
 		bound := d.RoutingDiameterBound()
-		maxLen, err := maxRouteLen(d, route)
 		checks = append(checks, CheckResult{
 			Name:   "invariant:routing-diameter-bound",
-			OK:     err == nil && maxLen <= bound,
-			Detail: routeLenDetail(maxLen, bound, err),
+			OK:     maxRoute <= bound,
+			Detail: fmt.Sprintf("max route %d <= 3p+r = %d", maxRoute, bound),
 		})
 	}
 	return checks
-}
-
-func routeLenDetail(maxLen, bound int, err error) string {
-	if err != nil {
-		return "route enumeration failed: " + err.Error()
-	}
-	return fmt.Sprintf("max route %d <= 3p+r = %d", maxLen, bound)
-}
-
-// maxRouteLen returns the longest custom route over all pairs.
-func maxRouteLen(d *core.DSN, route func(s, t int) (*core.Route, error)) (int, error) {
-	maxLen := 0
-	for s := 0; s < d.N; s++ {
-		for t := 0; t < d.N; t++ {
-			if s == t {
-				continue
-			}
-			r, err := route(s, t)
-			if err != nil {
-				return 0, err
-			}
-			if r.Len() > maxLen {
-				maxLen = r.Len()
-			}
-		}
-	}
-	return maxLen, nil
 }
