@@ -42,10 +42,9 @@ func (r *DORTorus) Candidates(st PacketState, sw int, buf []Candidate) []Candida
 	if sw == dst {
 		return buf
 	}
-	cc := r.t.Coord(sw)
-	cd := r.t.Coord(dst)
 	for dim := range r.t.Dims {
-		delta := r.t.DimDist(cc[dim], cd[dim], dim)
+		from := r.t.CoordOf(sw, dim)
+		delta := r.t.DimDist(from, r.t.CoordOf(dst, dim), dim)
 		if delta == 0 {
 			continue
 		}
@@ -54,10 +53,8 @@ func (r *DORTorus) Candidates(st PacketState, sw int, buf []Candidate) []Candida
 		if delta < 0 {
 			step = -1
 		}
-		from := cc[dim]
 		to := ((from+step)%k + k) % k
-		cc[dim] = to
-		next := r.t.ID(cc)
+		next := r.t.WithCoord(sw, dim, to)
 
 		// Dateline bit: set once the packet crosses the wrap link of the
 		// current dimension; fresh when this hop completes the dimension

@@ -55,6 +55,32 @@ func dorTrace(t *testing.T, r *DORTorus, tor *topology.Torus, s, d int) []routin
 	return hops
 }
 
+// TestDORTorusAllocs pins that a DOR routing decision and the torus hop
+// distance allocate nothing: both read each dimension's coordinate
+// without building coordinate slices.
+func TestDORTorusAllocs(t *testing.T) {
+	if RaceDetectorEnabled {
+		t.Skip("allocation counts differ under -race")
+	}
+	tor, err := topology.Torus3D(4, 3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := NewDORTorus(tor, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]Candidate, 0, 4)
+	st := PacketState{SrcSw: 7, DstSw: 40}
+	dist := 0
+	if a := testing.AllocsPerRun(100, func() { buf = r.Candidates(st, 7, buf[:0]) }); a != 0 || len(buf) != 2 {
+		t.Errorf("Candidates: %.0f allocations, %d candidates; want 0 allocations, 2 candidates", a, len(buf))
+	}
+	if a := testing.AllocsPerRun(100, func() { dist = tor.HopDist(7, 40) }); a != 0 || dist != 5 {
+		t.Errorf("HopDist: %.0f allocations, distance %d; want 0 allocations, distance 5", a, dist)
+	}
+}
+
 func TestDORTorusMinimalAllPairs(t *testing.T) {
 	tor, err := topology.Torus2D(6, 9)
 	if err != nil {

@@ -23,10 +23,9 @@ func (d *DOR) NextHop(cur, dst int) int {
 	if cur == dst {
 		return -1
 	}
-	cc := d.T.Coord(cur)
-	cd := d.T.Coord(dst)
 	for dim := range d.T.Dims {
-		delta := d.T.DimDist(cc[dim], cd[dim], dim)
+		from := d.T.CoordOf(cur, dim)
+		delta := d.T.DimDist(from, d.T.CoordOf(dst, dim), dim)
 		if delta == 0 {
 			continue
 		}
@@ -35,8 +34,7 @@ func (d *DOR) NextHop(cur, dst int) int {
 		if delta < 0 {
 			step = -1
 		}
-		cc[dim] = ((cc[dim]+step)%k + k) % k
-		return d.T.ID(cc)
+		return d.T.WithCoord(cur, dim, ((from+step)%k+k)%k)
 	}
 	return -1
 }

@@ -202,6 +202,18 @@ func TestTorusCoordRoundTrip(t *testing.T) {
 		if got := tor.ID(c); got != id {
 			t.Fatalf("round trip %d -> %v -> %d", id, c, got)
 		}
+		for dim, v := range c {
+			if got := tor.CoordOf(id, dim); got != v {
+				t.Fatalf("CoordOf(%d, %d) = %d, want %d", id, dim, got, v)
+			}
+			for w := 0; w < tor.Dims[dim]; w++ {
+				moved := append([]int(nil), c...)
+				moved[dim] = w
+				if got, want := tor.WithCoord(id, dim, w), tor.ID(moved); got != want {
+					t.Fatalf("WithCoord(%d, %d, %d) = %d, want %d", id, dim, w, got, want)
+				}
+			}
+		}
 	}
 	if tor.Graph().MinDegree() != 6 || tor.Graph().MaxDegree() != 6 {
 		t.Fatal("3-D torus should be 6-regular")

@@ -89,6 +89,25 @@ func (t *Torus) coordInto(id int, c []int) {
 	}
 }
 
+// CoordOf returns the coordinate of switch id along one dimension,
+// Coord(id)[dim] without the slice.
+func (t *Torus) CoordOf(id, dim int) int { return id / t.stride(dim) % t.Dims[dim] }
+
+// WithCoord returns the switch whose coordinates equal id's except along
+// dim, where it is c.
+func (t *Torus) WithCoord(id, dim, c int) int {
+	return id + (c-t.CoordOf(id, dim))*t.stride(dim)
+}
+
+// stride returns the ID distance between neighbors along dim.
+func (t *Torus) stride(dim int) int {
+	s := 1
+	for _, k := range t.Dims[dim+1:] {
+		s *= k
+	}
+	return s
+}
+
 // ID returns the switch ID at the given coordinates.
 func (t *Torus) ID(c []int) int {
 	id := 0
@@ -116,10 +135,9 @@ func (t *Torus) DimDist(a, b, dim int) int {
 
 // HopDist returns the minimal hop distance between switches a and b.
 func (t *Torus) HopDist(a, b int) int {
-	ca, cb := t.Coord(a), t.Coord(b)
 	total := 0
 	for dim := range t.Dims {
-		d := t.DimDist(ca[dim], cb[dim], dim)
+		d := t.DimDist(t.CoordOf(a, dim), t.CoordOf(b, dim), dim)
 		if d < 0 {
 			d = -d
 		}
