@@ -11,6 +11,7 @@
 //	dsnsim -topo dsn -pattern stencil-2d -switching wormhole
 //	dsnsim -topo dsn-v -routing custom -rates 0.01,0.02
 //	dsnsim -topo torus -n 16 -routing dor
+//	dsnsim -topo dsn -routing mp-adaptive-k4
 //	dsnsim -topo dsn -faults 0.05
 //	dsnsim -topo dsn -collective allreduce -collalgo ring
 //	dsnsim -topo torus -collective broadcast -faults 0.05
@@ -61,13 +62,6 @@ type opts struct {
 	stall       int64
 	drainFaults bool
 
-	// Multipath source routing: multipath replaces -routing with the
-	// k-shortest-path spraying router; k is the per-pair path budget and
-	// selector picks how packets spread across the sprayed paths.
-	multipath bool
-	k         int
-	selector  string
-
 	// Closed-loop collective replay: collective selects the workload
 	// (empty keeps the open-loop pattern mode), collalgo the algorithm
 	// (empty picks the collective's default), chunk the per-host chunk
@@ -105,9 +99,6 @@ func main() {
 	flag.BoolVar(&o.recover, "recover", false, "arm runtime deadlock detection and recovery")
 	flag.Int64Var(&o.stall, "stallthreshold", 0, "stall cycles before a packet is suspected deadlocked (0: recovery default)")
 	flag.BoolVar(&o.drainFaults, "drainfaults", false, "with -recover: drain in-flight traffic before swapping routing tables at each fault epoch")
-	flag.BoolVar(&o.multipath, "multipath", false, "route with k-shortest-path spraying instead of -routing")
-	flag.IntVar(&o.k, "k", 4, "with -multipath: edge-disjoint paths per pair (1..15)")
-	flag.StringVar(&o.selector, "selector", "adaptive", "with -multipath: path selector: "+strings.Join(dsnet.SelectorNames, ", "))
 	flag.StringVar(&o.collective, "collective", "",
 		"closed-loop collective workload: "+strings.Join(dsnet.CollectiveNames, ", ")+" (empty: open-loop -pattern mode)")
 	flag.StringVar(&o.collalgo, "collalgo", "", "collective algorithm: ring, halving-doubling, binomial, pairwise (default: the collective's default)")
@@ -179,16 +170,6 @@ func run(o opts) error {
 	}
 	g := fab.Graph
 
-	// Multipath replaces the -routing scheme wholesale: the routing label
-	// (and so every cell key and printed header) carries the selector and
-	// path budget instead.
-	if o.multipath {
-		sel, err := dsnet.ParseSelector(o.selector)
-		if err != nil {
-			return err
-		}
-		o.routing = catalog.MultipathName(sel, o.k)
-	}
 	// mkRouter builds a fresh router per cell: construction is
 	// deterministic, and fault-aware routers mutate their tables as
 	// faults land, so sharing one instance across offered loads would
