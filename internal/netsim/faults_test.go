@@ -235,7 +235,7 @@ func TestSwitchDeathIsolatesSwitch(t *testing.T) {
 }
 
 // DSN custom source routing under shortcut failures: packets whose
-// precomputed route dies re-source onto ring-only detours (Rerouted) and
+// route dies re-source onto ring-only detours (Rerouted) and
 // still arrive.
 func TestDSNSourceRoutedDetours(t *testing.T) {
 	d, err := core.NewV(60)
