@@ -358,9 +358,9 @@ func runCollective(o opts, cfg dsnet.SimConfig, g *dsnet.Graph, mkRouter func() 
 		return err
 	}
 	fmt.Printf("# %s / %s / %s routing / %s switching, %d switches x %d hosts, seed %d\n",
-		o.topo, dag.Name(), o.routing, o.switching, g.N(), cfg.HostsPerSwitch, o.seed)
+		o.topo, dag.Name, o.routing, o.switching, g.N(), cfg.HostsPerSwitch, o.seed)
 	fmt.Printf("# %d messages, %d flits total, chunk %d flits, phases: %s\n",
-		len(dag.Messages), dag.TotalFlits(), chunk, strings.Join(dag.PhaseNames, ", "))
+		len(dag.Messages), dag.TotalFlits(), chunk, strings.Join(dag.Phases, ", "))
 	if plan != nil {
 		fmt.Printf("# live faults: %d links failing from cycle %d\n",
 			plan.FailureCount(), plan.Events[0].Cycle)
@@ -370,7 +370,7 @@ func runCollective(o opts, cfg dsnet.SimConfig, g *dsnet.Graph, mkRouter func() 
 			rec.StallThresholdCycles, rec.ConfirmCycles, rec.AbortBudget, rec.DrainOnFault)
 	}
 	fmt.Printf("%4s %12s %10s %10s %10s", "rep", "makespan_us", "delivered", "completed", "cycles")
-	for _, ph := range dag.PhaseNames {
+	for _, ph := range dag.Phases {
 		fmt.Printf(" %12s", ph+"_us")
 	}
 	if plan != nil {
@@ -392,7 +392,7 @@ func runCollective(o opts, cfg dsnet.SimConfig, g *dsnet.Graph, mkRouter func() 
 	cells := make([]harness.Cell[repResult], 0, o.reps)
 	for rep := 0; rep < o.reps; rep++ {
 		key := harness.NewKey("dsnsim-collective")
-		key.Topo, key.Routing, key.Switching, key.Pattern = o.topo, o.routing, o.switching, dag.Name()
+		key.Topo, key.Routing, key.Switching, key.Pattern = o.topo, o.routing, o.switching, dag.Name
 		key.N, key.Seed = g.N(), o.seed
 		key.Params = []harness.Param{
 			harness.Pd("chunk", int64(chunk)), harness.Pd("rep", int64(rep)),

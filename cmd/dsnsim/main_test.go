@@ -75,6 +75,18 @@ func TestRunCollectiveRejections(t *testing.T) {
 	}
 }
 
+// A chunk whose broadcast vector overflows a message's int32 flit count
+// (16 switches x 4 hosts x 67,108,865 flits) fails before anything runs,
+// so dsnsim exits non-zero instead of replaying wrapped message sizes.
+func TestRunCollectiveRejectsOversizedChunk(t *testing.T) {
+	o := quick("dsn", "uniform", "adaptive", 16, "0.02", "vct", 0)
+	o.collective, o.chunk, o.reps = "broadcast", 67108865, 1
+	err := run(o)
+	if err == nil || !strings.Contains(err.Error(), "64 hosts x 67108865 chunk flits") {
+		t.Fatalf("oversized chunk: err %v, want one naming 64 hosts and 67108865 chunk flits", err)
+	}
+}
+
 func TestRunWormhole(t *testing.T) {
 	if err := run(quick("torus", "uniform", "adaptive", 64, "0.02", "wormhole", 20)); err != nil {
 		t.Fatal(err)

@@ -172,11 +172,9 @@ type FaultAware = netsim.FaultAware
 
 // CollectiveDAG is a collective-communication workload modeled as a
 // message DAG (ring/halving-doubling allreduce, binomial broadcast and
-// reduce, ring allgather, pairwise all-to-all).
+// reduce, ring allgather, pairwise all-to-all). It embeds the Replay it
+// runs; its messages are ReplayMessages, shared read-only by every run.
 type CollectiveDAG = collectives.DAG
-
-// CollectiveMessage is one dependency-gated transfer of a CollectiveDAG.
-type CollectiveMessage = collectives.Message
 
 // Replay is a closed-loop workload executed by the simulators: injection
 // of each message is gated on the delivery of its dependencies, and the

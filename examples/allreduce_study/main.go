@@ -42,7 +42,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("== %s: %d messages, %d flits ==\n", dag.Name(), len(dag.Messages), dag.TotalFlits())
+		fmt.Printf("== %s: %d messages, %d flits ==\n", dag.Name, len(dag.Messages), dag.TotalFlits())
 		rows, err := dsnet.CollectiveSweep(context.Background(), nil, cfg, []int{n}, w.collective, w.algo, cfg.PacketFlits, reps, seed)
 		if err != nil {
 			log.Fatal(err)

@@ -103,10 +103,10 @@ func assembleCollective(d *collectives.DAG, n, reps int, repResults []collective
 		N: n, Hosts: d.Hosts,
 		Collective: d.Collective, Algo: d.Algo,
 		Reps:       reps,
-		PhaseNames: append([]string(nil), d.PhaseNames...),
+		PhaseNames: append([]string(nil), d.Phases...),
 	}
 	var makespans []float64
-	phaseSums := make([]float64, len(d.PhaseNames))
+	phaseSums := make([]float64, len(d.Phases))
 	completed := 0
 	for _, rr := range repResults {
 		if rr.Watchdog {

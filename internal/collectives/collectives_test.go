@@ -1,10 +1,16 @@
 package collectives
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
+
+	"dsnet/internal/netsim"
+	"dsnet/internal/topology"
 )
 
 // messageCount returns the closed-form message count of each workload.
@@ -89,8 +95,8 @@ func TestEveryHostParticipates(t *testing.T) {
 			sends := make([]bool, hosts)
 			recvs := make([]bool, hosts)
 			for _, m := range d.Messages {
-				sends[m.Src] = true
-				recvs[m.Dst] = true
+				sends[m.SrcHost] = true
+				recvs[m.DstHost] = true
 			}
 			for h := 0; h < hosts; h++ {
 				wantSend, wantRecv := true, true
@@ -169,6 +175,13 @@ func TestPermutedPreservesStructure(t *testing.T) {
 			p.Messages[i].Phase != d.Messages[i].Phase {
 			t.Fatalf("permutation changed structure of message %d", i)
 		}
+		// The relabelled copy shares the read-only dependency lists.
+		if deps := d.Messages[i].Deps; len(deps) > 0 && &p.Messages[i].Deps[0] != &deps[0] {
+			t.Fatalf("message %d dependency list copied, want shared", i)
+		}
+	}
+	if &p.Messages[0] == &d.Messages[0] {
+		t.Fatal("Permuted relabelled the receiver's messages")
 	}
 }
 
@@ -182,10 +195,31 @@ func TestGenerateRejectsBadArgs(t *testing.T) {
 		{"allreduce", "halving-doubling", 12, 4}, // not a power of two
 		{"nonsense", "", 8, 4},
 		{"allreduce", "nonsense", 8, 4},
+		// The whole vector must fit a message's int32 flit count: 64 x
+		// 67,108,865 flits once wrapped to 64 flits per broadcast message,
+		// and to negative halving-doubling messages.
+		{"broadcast", "binomial", 64, 67108865},
+		{"allreduce", "halving-doubling", 64, 67108865},
+		{"allreduce", "ring", 2, math.MaxInt32},
 	}
 	for _, c := range cases {
 		if _, err := Generate(c.collective, c.algo, c.hosts, c.chunk); err == nil {
 			t.Errorf("Generate(%q, %q, %d, %d) accepted", c.collective, c.algo, c.hosts, c.chunk)
+		}
+	}
+}
+
+// The largest chunk whose vector fits int32 still generates every
+// workload, and every message size stays positive.
+func TestGenerateLargestChunk(t *testing.T) {
+	const hosts = 64
+	for _, w := range workloads {
+		d, err := Generate(w.collective, w.algo, hosts, math.MaxInt32/hosts)
+		if err != nil {
+			t.Fatalf("%s/%s: %v", w.collective, w.algo, err)
+		}
+		if err := d.Validate(); err != nil {
+			t.Fatalf("%s/%s: %v", w.collective, w.algo, err)
 		}
 	}
 }
@@ -213,8 +247,24 @@ func TestValidateCatchesCycle(t *testing.T) {
 	}
 }
 
-// ToReplay is positional: the bridge must preserve indices so dependency
-// edges survive the translation.
+// A DAG must name its phases even though a bare replay need not.
+func TestValidateNeedsPhaseNames(t *testing.T) {
+	d, err := RingAllGather(4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Phases = nil
+	if err := d.Validate(); err == nil {
+		t.Fatal("DAG without phase names accepted")
+	}
+	if err := ToReplay(d).Validate(d.Hosts); err != nil {
+		t.Fatalf("replay without phase names refused: %v", err)
+	}
+}
+
+// ToReplay is positional: the replay is the DAG's own header, sharing
+// its messages, so dependency edges survive the translation by
+// construction and no message is copied.
 func TestToReplayPositional(t *testing.T) {
 	d, err := PairwiseAllToAll(6, 3)
 	if err != nil {
@@ -227,10 +277,72 @@ func TestToReplayPositional(t *testing.T) {
 	if err := r.Validate(6); err != nil {
 		t.Fatal(err)
 	}
+	if r.Name != "all-to-all/pairwise" || !reflect.DeepEqual(r.Phases, d.Phases) {
+		t.Fatalf("replay header %q %v, want %q %v", r.Name, r.Phases, d.Name, d.Phases)
+	}
 	i := rand.New(rand.NewSource(1)).Intn(len(d.Messages))
-	if r.Messages[i].SrcHost != d.Messages[i].Src || r.Messages[i].DstHost != d.Messages[i].Dst ||
-		r.Messages[i].Flits != d.Messages[i].Flits || r.Messages[i].Phase != d.Messages[i].Phase ||
-		!reflect.DeepEqual(r.Messages[i].Deps, d.Messages[i].Deps) {
-		t.Fatalf("message %d not preserved: %+v vs %+v", i, r.Messages[i], d.Messages[i])
+	if &r.Messages[i] != &d.Messages[i] {
+		t.Fatalf("message %d copied, want shared", i)
+	}
+	if r == &d.Replay {
+		t.Fatal("ToReplay returned the DAG's own header, want a copy")
+	}
+}
+
+// Runs share one DAG's messages, so they must only read them: two
+// simulators replaying one placement concurrently agree bit for bit and
+// leave the DAG as generated. Under -race any write to the shared
+// messages is a reported race.
+func TestSharedReplayConcurrentRuns(t *testing.T) {
+	tor, err := topology.Torus2D(4, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := tor.Graph()
+	cfg := netsim.Default()
+	gen := func() *DAG {
+		d, err := Generate("allreduce", "halving-doubling", g.N()*cfg.HostsPerSwitch, cfg.PacketFlits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	d := gen()
+	replay := ToReplay(d.Permuted(5))
+	var digests [2]string
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range digests {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rt, err := netsim.NewDuatoUpDown(g, cfg.VCs)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			sim, err := netsim.NewSimReplay(cfg, g, rt, replay)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			res, err := sim.Run()
+			if err == nil && !res.ReplayCompleted {
+				err = fmt.Errorf("replay incomplete: %d of %d messages", res.ReplayDelivered, res.ReplayMessages)
+			}
+			errs[i], digests[i] = err, fmt.Sprintf("%#v", res)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if digests[0] != digests[1] {
+		t.Fatalf("concurrent runs of one replay diverged:\n%s\n%s", digests[0], digests[1])
+	}
+	if !reflect.DeepEqual(d, gen()) {
+		t.Fatal("runs modified the shared DAG")
 	}
 }

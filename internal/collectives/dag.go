@@ -15,94 +15,68 @@ package collectives
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
+
+	"dsnet/internal/netsim"
 )
 
-// Message is one point-to-point transfer of a collective: Src sends
-// Flits flits to Dst once every message in Deps has been delivered.
-type Message struct {
-	ID    int32
-	Src   int32 // source host
-	Dst   int32 // destination host
-	Flits int32 // payload size in flits
-	// Deps lists the IDs of messages that must be fully delivered before
-	// this one may inject at Src. Generators emit messages in a
-	// topological order (every dependency has a smaller ID).
-	Deps []int32
-	// Phase indexes DAG.PhaseNames: the algorithm stage this message
-	// belongs to (e.g. reduce-scatter vs allgather), driving the
-	// per-phase makespan breakdown.
-	Phase int32
-}
-
-// DAG is a complete collective workload over Hosts hosts.
+// DAG is a complete collective workload over Hosts hosts: the replay the
+// simulators execute plus the parameters it was generated from. The
+// embedded Replay is named "collective/algo"; each message sends Flits
+// flits from SrcHost to DstHost once every message in Deps (indices into
+// Messages, all smaller than its own) has been delivered, and its Phase
+// indexes the algorithm stages in Phases (e.g. reduce-scatter vs
+// allgather) for the per-phase makespan breakdown.
+//
+// Generated messages are read-only: Permuted and ToReplay share them
+// (or their dependency lists) instead of copying.
 type DAG struct {
+	netsim.Replay
 	Collective string // "allreduce", "allgather", "broadcast", "reduce", "all-to-all"
 	Algo       string // "ring", "halving-doubling", "binomial", "pairwise"
 	Hosts      int
 	ChunkFlits int // the generator's base chunk size
-	PhaseNames []string
-	Messages   []Message
 }
 
-// Name identifies the workload in reports.
-func (d *DAG) Name() string { return d.Collective + "/" + d.Algo }
+// newDAG checks a generator's arguments and starts an empty workload
+// with room for count messages.
+func newDAG(collective, algo string, hosts, chunkFlits, count int, phases ...string) (*DAG, error) {
+	name := collective + "/" + algo
+	if hosts < 2 {
+		return nil, fmt.Errorf("collectives: %s needs >= 2 hosts, got %d", name, hosts)
+	}
+	if chunkFlits < 1 {
+		return nil, fmt.Errorf("collectives: %s needs >= 1 chunk flit, got %d", name, chunkFlits)
+	}
+	// Tree messages carry the whole hosts x chunkFlits vector, and every
+	// message size must fit ReplayMessage.Flits.
+	if chunkFlits > math.MaxInt32/hosts {
+		return nil, fmt.Errorf("collectives: %s vector of %d hosts x %d chunk flits exceeds %d flits",
+			name, hosts, chunkFlits, math.MaxInt32)
+	}
+	return &DAG{
+		Replay: netsim.Replay{
+			Name:     name,
+			Phases:   phases,
+			Messages: make([]netsim.ReplayMessage, 0, count),
+		},
+		Collective: collective, Algo: algo,
+		Hosts: hosts, ChunkFlits: chunkFlits,
+	}, nil
+}
 
-// Validate checks message well-formedness and that the dependency graph
-// is acyclic (Kahn's algorithm), so a replay can always make progress.
+// Validate checks what a replay leaves open, at least two hosts and at
+// least one phase name, and then everything SetReplay checks over Hosts
+// hosts (netsim.Replay.Validate), acyclicity included.
 func (d *DAG) Validate() error {
 	if d.Hosts < 2 {
-		return fmt.Errorf("collectives: %s over %d hosts (need >= 2)", d.Name(), d.Hosts)
+		return fmt.Errorf("collectives: %s over %d hosts (need >= 2)", d.Name, d.Hosts)
 	}
-	n := len(d.Messages)
-	indeg := make([]int, n)
-	dependents := make([][]int32, n)
-	for i, m := range d.Messages {
-		if int(m.ID) != i {
-			return fmt.Errorf("collectives: message %d has ID %d", i, m.ID)
-		}
-		if m.Src < 0 || int(m.Src) >= d.Hosts || m.Dst < 0 || int(m.Dst) >= d.Hosts {
-			return fmt.Errorf("collectives: message %d endpoints (%d -> %d) outside [0,%d)", i, m.Src, m.Dst, d.Hosts)
-		}
-		if m.Src == m.Dst {
-			return fmt.Errorf("collectives: message %d sends host %d to itself", i, m.Src)
-		}
-		if m.Flits < 1 {
-			return fmt.Errorf("collectives: message %d has %d flits", i, m.Flits)
-		}
-		if m.Phase < 0 || int(m.Phase) >= len(d.PhaseNames) {
-			return fmt.Errorf("collectives: message %d phase %d outside [0,%d)", i, m.Phase, len(d.PhaseNames))
-		}
-		for _, dep := range m.Deps {
-			if dep < 0 || int(dep) >= n {
-				return fmt.Errorf("collectives: message %d depends on unknown message %d", i, dep)
-			}
-			indeg[i]++
-			dependents[dep] = append(dependents[dep], int32(i))
-		}
+	if len(d.Phases) == 0 {
+		return fmt.Errorf("collectives: %s has no phase names", d.Name)
 	}
-	ready := make([]int32, 0, n)
-	for i, deg := range indeg {
-		if deg == 0 {
-			ready = append(ready, int32(i))
-		}
-	}
-	seen := 0
-	for len(ready) > 0 {
-		m := ready[len(ready)-1]
-		ready = ready[:len(ready)-1]
-		seen++
-		for _, dep := range dependents[m] {
-			indeg[dep]--
-			if indeg[dep] == 0 {
-				ready = append(ready, dep)
-			}
-		}
-	}
-	if seen != n {
-		return fmt.Errorf("collectives: %s dependency graph has a cycle (%d of %d messages reachable)", d.Name(), seen, n)
-	}
-	return nil
+	return d.Replay.Validate(d.Hosts)
 }
 
 // Permuted returns a copy of the DAG with collective ranks mapped onto
@@ -111,6 +85,9 @@ func (d *DAG) Validate() error {
 // change. This is the placement-randomization knob: repetitions across
 // seeds measure how sensitive a topology's makespan is to where the job's
 // ranks land. The permutation is a deterministic function of the seed.
+//
+// Only the message array is copied, to relabel its endpoints: the copy
+// shares d's dependency lists and phase names, which are read-only.
 func (d *DAG) Permuted(seed uint64) *DAG {
 	rng := rand.New(rand.NewPCG(seed, 0xc011ec7))
 	perm := make([]int32, d.Hosts)
@@ -122,15 +99,23 @@ func (d *DAG) Permuted(seed uint64) *DAG {
 		perm[i], perm[j] = perm[j], perm[i]
 	}
 	out := *d
-	out.PhaseNames = append([]string(nil), d.PhaseNames...)
-	out.Messages = make([]Message, len(d.Messages))
+	out.Messages = make([]netsim.ReplayMessage, len(d.Messages))
 	for i, m := range d.Messages {
-		m.Deps = append([]int32(nil), m.Deps...)
-		m.Src = perm[m.Src]
-		m.Dst = perm[m.Dst]
+		m.SrcHost = perm[m.SrcHost]
+		m.DstHost = perm[m.DstHost]
 		out.Messages[i] = m
 	}
 	return &out
+}
+
+// ToReplay returns the closed-loop workload the simulators execute
+// (netsim.SetReplay): a copy of d's embedded Replay header. It copies no
+// message; the replay shares d's phase names and messages, which are
+// read-only, and the simulators only read them, so any number of runs
+// may share one DAG.
+func ToReplay(d *DAG) *netsim.Replay {
+	r := d.Replay
+	return &r
 }
 
 // TotalFlits sums the payload of every message.

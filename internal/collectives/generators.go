@@ -3,6 +3,8 @@ package collectives
 import (
 	"fmt"
 	"math/bits"
+
+	"dsnet/internal/netsim"
 )
 
 // The generators below model the logical vector of a collective as
@@ -20,22 +22,17 @@ import (
 // 2(k-1)k messages total. Step s of host i depends on the message host i
 // received in step s-1 (the chunk it forwards next).
 func RingAllReduce(hosts, chunkFlits int) (*DAG, error) {
-	if err := checkArgs("allreduce/ring", hosts, chunkFlits); err != nil {
-		return nil, err
-	}
 	k := hosts
-	d := &DAG{
-		Collective: "allreduce", Algo: "ring",
-		Hosts: hosts, ChunkFlits: chunkFlits,
-		PhaseNames: []string{"reduce-scatter", "allgather"},
-		Messages:   make([]Message, 0, 2*(k-1)*k),
+	d, err := newDAG("allreduce", "ring", hosts, chunkFlits, 2*(k-1)*k, "reduce-scatter", "allgather")
+	if err != nil {
+		return nil, err
 	}
 	rs := func(s, i int) int32 { return int32(s*k + i) }
 	ag := func(s, i int) int32 { return int32(k*(k-1) + s*k + i) }
 	for s := 0; s < k-1; s++ {
 		for i := 0; i < k; i++ {
-			m := Message{
-				ID: rs(s, i), Src: int32(i), Dst: int32((i + 1) % k),
+			m := netsim.ReplayMessage{
+				SrcHost: int32(i), DstHost: int32((i + 1) % k),
 				Flits: int32(chunkFlits), Phase: 0,
 			}
 			if s > 0 {
@@ -46,8 +43,8 @@ func RingAllReduce(hosts, chunkFlits int) (*DAG, error) {
 	}
 	for s := 0; s < k-1; s++ {
 		for i := 0; i < k; i++ {
-			m := Message{
-				ID: ag(s, i), Src: int32(i), Dst: int32((i + 1) % k),
+			m := netsim.ReplayMessage{
+				SrcHost: int32(i), DstHost: int32((i + 1) % k),
 				Flits: int32(chunkFlits), Phase: 1,
 			}
 			if s == 0 {
@@ -69,28 +66,23 @@ func RingAllReduce(hosts, chunkFlits int) (*DAG, error) {
 // exchanges with a partner at XOR distance, halving (then doubling) the
 // moved window each round, for 2·k·log2(k) messages total.
 func HalvingDoublingAllReduce(hosts, chunkFlits int) (*DAG, error) {
-	if err := checkArgs("allreduce/halving-doubling", hosts, chunkFlits); err != nil {
+	k := hosts
+	q := bits.TrailingZeros(uint(k))
+	d, err := newDAG("allreduce", "halving-doubling", hosts, chunkFlits, 2*k*q, "reduce-scatter", "allgather")
+	if err != nil {
 		return nil, err
 	}
 	if hosts&(hosts-1) != 0 {
 		return nil, fmt.Errorf("collectives: halving-doubling needs a power-of-two host count, got %d", hosts)
 	}
-	k := hosts
-	q := bits.TrailingZeros(uint(k))
 	vector := k * chunkFlits
-	d := &DAG{
-		Collective: "allreduce", Algo: "halving-doubling",
-		Hosts: hosts, ChunkFlits: chunkFlits,
-		PhaseNames: []string{"reduce-scatter", "allgather"},
-		Messages:   make([]Message, 0, 2*k*q),
-	}
 	hd := func(r, i int) int32 { return int32(r*k + i) }
 	ag := func(r, i int) int32 { return int32(q*k + r*k + i) }
 	for r := 0; r < q; r++ {
 		dist := 1 << (q - 1 - r)
 		for i := 0; i < k; i++ {
-			m := Message{
-				ID: hd(r, i), Src: int32(i), Dst: int32(i ^ dist),
+			m := netsim.ReplayMessage{
+				SrcHost: int32(i), DstHost: int32(i ^ dist),
 				Flits: int32(vector >> (r + 1)), Phase: 0,
 			}
 			if r > 0 {
@@ -104,8 +96,8 @@ func HalvingDoublingAllReduce(hosts, chunkFlits int) (*DAG, error) {
 	for r := 0; r < q; r++ {
 		dist := 1 << r
 		for i := 0; i < k; i++ {
-			m := Message{
-				ID: ag(r, i), Src: int32(i), Dst: int32(i ^ dist),
+			m := netsim.ReplayMessage{
+				SrcHost: int32(i), DstHost: int32(i ^ dist),
 				Flits: int32(vector >> (q - r)), Phase: 1,
 			}
 			if r == 0 {
@@ -124,18 +116,13 @@ func HalvingDoublingAllReduce(hosts, chunkFlits int) (*DAG, error) {
 // sends it to one new host, for k-1 messages total, each carrying the
 // whole k·chunkFlits vector.
 func BinomialBroadcast(hosts, chunkFlits, root int) (*DAG, error) {
-	if err := checkArgs("broadcast/binomial", hosts, chunkFlits); err != nil {
+	k := hosts
+	d, err := newDAG("broadcast", "binomial", hosts, chunkFlits, k-1, "broadcast")
+	if err != nil {
 		return nil, err
 	}
 	if root < 0 || root >= hosts {
 		return nil, fmt.Errorf("collectives: broadcast root %d outside [0,%d)", root, hosts)
-	}
-	k := hosts
-	d := &DAG{
-		Collective: "broadcast", Algo: "binomial",
-		Hosts: hosts, ChunkFlits: chunkFlits,
-		PhaseNames: []string{"broadcast"},
-		Messages:   make([]Message, 0, k-1),
 	}
 	abs := func(rel int) int32 { return int32((root + rel) % k) }
 	recv := make([]int32, k) // message that delivered the vector to rel j
@@ -144,14 +131,14 @@ func BinomialBroadcast(hosts, chunkFlits, root int) (*DAG, error) {
 	}
 	for r := 0; 1<<r < k; r++ {
 		for j := 0; j < 1<<r && j+(1<<r) < k; j++ {
-			m := Message{
-				ID: int32(len(d.Messages)), Src: abs(j), Dst: abs(j + (1 << r)),
+			m := netsim.ReplayMessage{
+				SrcHost: abs(j), DstHost: abs(j + (1 << r)),
 				Flits: int32(k * chunkFlits), Phase: 0,
 			}
 			if recv[j] >= 0 {
 				m.Deps = []int32{recv[j]}
 			}
-			recv[j+(1<<r)] = m.ID
+			recv[j+(1<<r)] = int32(len(d.Messages))
 			d.Messages = append(d.Messages, m)
 		}
 	}
@@ -162,18 +149,13 @@ func BinomialBroadcast(hosts, chunkFlits, root int) (*DAG, error) {
 // k-1 edges walked leafward-first, each sender waiting for every
 // contribution it must fold in before passing its partial sum up.
 func BinomialReduce(hosts, chunkFlits, root int) (*DAG, error) {
-	if err := checkArgs("reduce/binomial", hosts, chunkFlits); err != nil {
+	k := hosts
+	d, err := newDAG("reduce", "binomial", hosts, chunkFlits, k-1, "reduce")
+	if err != nil {
 		return nil, err
 	}
 	if root < 0 || root >= hosts {
 		return nil, fmt.Errorf("collectives: reduce root %d outside [0,%d)", root, hosts)
-	}
-	k := hosts
-	d := &DAG{
-		Collective: "reduce", Algo: "binomial",
-		Hosts: hosts, ChunkFlits: chunkFlits,
-		PhaseNames: []string{"reduce"},
-		Messages:   make([]Message, 0, k-1),
 	}
 	abs := func(rel int) int32 { return int32((root + rel) % k) }
 	rounds := 0
@@ -184,13 +166,12 @@ func BinomialReduce(hosts, chunkFlits, root int) (*DAG, error) {
 	for r := rounds - 1; r >= 0; r-- {
 		for j := 0; j < 1<<r && j+(1<<r) < k; j++ {
 			src := j + (1 << r)
-			m := Message{
-				ID: int32(len(d.Messages)), Src: abs(src), Dst: abs(j),
+			recvs[j] = append(recvs[j], int32(len(d.Messages)))
+			d.Messages = append(d.Messages, netsim.ReplayMessage{
+				SrcHost: abs(src), DstHost: abs(j),
 				Flits: int32(k * chunkFlits), Phase: 0,
 				Deps: append([]int32(nil), recvs[src]...),
-			}
-			recvs[j] = append(recvs[j], m.ID)
-			d.Messages = append(d.Messages, m)
+			})
 		}
 	}
 	return d, nil
@@ -200,21 +181,16 @@ func BinomialReduce(hosts, chunkFlits, root int) (*DAG, error) {
 // forwards the newest chunk it holds to its successor, for (k-1)k
 // messages total.
 func RingAllGather(hosts, chunkFlits int) (*DAG, error) {
-	if err := checkArgs("allgather/ring", hosts, chunkFlits); err != nil {
-		return nil, err
-	}
 	k := hosts
-	d := &DAG{
-		Collective: "allgather", Algo: "ring",
-		Hosts: hosts, ChunkFlits: chunkFlits,
-		PhaseNames: []string{"allgather"},
-		Messages:   make([]Message, 0, (k-1)*k),
+	d, err := newDAG("allgather", "ring", hosts, chunkFlits, (k-1)*k, "allgather")
+	if err != nil {
+		return nil, err
 	}
 	id := func(s, i int) int32 { return int32(s*k + i) }
 	for s := 0; s < k-1; s++ {
 		for i := 0; i < k; i++ {
-			m := Message{
-				ID: id(s, i), Src: int32(i), Dst: int32((i + 1) % k),
+			m := netsim.ReplayMessage{
+				SrcHost: int32(i), DstHost: int32((i + 1) % k),
 				Flits: int32(chunkFlits), Phase: 0,
 			}
 			if s > 0 {
@@ -232,21 +208,16 @@ func RingAllGather(hosts, chunkFlits int) (*DAG, error) {
 // serialized (one outstanding send per host), the usual incast-avoiding
 // schedule; rounds of different hosts overlap freely.
 func PairwiseAllToAll(hosts, chunkFlits int) (*DAG, error) {
-	if err := checkArgs("all-to-all/pairwise", hosts, chunkFlits); err != nil {
-		return nil, err
-	}
 	k := hosts
-	d := &DAG{
-		Collective: "all-to-all", Algo: "pairwise",
-		Hosts: hosts, ChunkFlits: chunkFlits,
-		PhaseNames: []string{"exchange"},
-		Messages:   make([]Message, 0, (k-1)*k),
+	d, err := newDAG("all-to-all", "pairwise", hosts, chunkFlits, (k-1)*k, "exchange")
+	if err != nil {
+		return nil, err
 	}
 	id := func(r, i int) int32 { return int32((r-1)*k + i) }
 	for r := 1; r < k; r++ {
 		for i := 0; i < k; i++ {
-			m := Message{
-				ID: id(r, i), Src: int32(i), Dst: int32((i + r) % k),
+			m := netsim.ReplayMessage{
+				SrcHost: int32(i), DstHost: int32((i + r) % k),
 				Flits: int32(chunkFlits), Phase: 0,
 			}
 			if r > 1 {
@@ -296,14 +267,4 @@ func Generate(collective, algo string, hosts, chunkFlits int) (*DAG, error) {
 		return PairwiseAllToAll(hosts, chunkFlits)
 	}
 	return nil, fmt.Errorf("collectives: unknown workload %s/%s (collectives: %v)", collective, algo, Collectives)
-}
-
-func checkArgs(name string, hosts, chunkFlits int) error {
-	if hosts < 2 {
-		return fmt.Errorf("collectives: %s needs >= 2 hosts, got %d", name, hosts)
-	}
-	if chunkFlits < 1 {
-		return fmt.Errorf("collectives: %s needs >= 1 chunk flit, got %d", name, chunkFlits)
-	}
-	return nil
 }

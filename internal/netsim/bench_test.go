@@ -141,7 +141,7 @@ func simCycleCases(tb testing.TB) []simCycleCase {
 		tb.Fatal(err)
 	}
 	return append(cases, simCycleCase{
-		name: "allreduce-hd/dsn16", switches: d16.N, allocs: 12916,
+		name: "allreduce-hd/dsn16", switches: d16.N, allocs: 12211,
 		build:  func() (*netsim.Sim, error) { return netsim.NewSimReplay(cfg, d16.Graph(), rt16, replay) },
 		cycles: func(res netsim.Result) int64 { return res.MakespanCycles },
 	})

@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 
 	"dsnet/internal/graph"
 )
@@ -32,73 +33,28 @@ type ReplayMessage struct {
 }
 
 // Replay is a closed-loop workload: a message DAG plus phase labels.
+// The warmup/measure/drain schedule of Config is ignored in replay mode:
+// the run ends as soon as the workload completes, stops making progress
+// or reaches replayMaxCycles.
+//
+// The simulators only read a Replay, so runs may share one concurrently.
 type Replay struct {
 	Name     string
 	Phases   []string
 	Messages []ReplayMessage
-	// MaxCycles bounds the run (0 selects DefaultReplayMaxCycles). The
-	// warmup/measure/drain schedule of Config is ignored in replay mode:
-	// the run ends as soon as the workload completes or the bound is hit.
-	MaxCycles int64
 }
 
-// DefaultReplayMaxCycles bounds replay runs whose Replay.MaxCycles is 0.
-// The no-progress watchdog ends stuck runs long before this; the bound
-// only caps pathologically slow but live workloads.
-const DefaultReplayMaxCycles = 50_000_000
+// replayMaxCycles bounds every replay run. The no-progress watchdog ends
+// stuck runs long before this; the bound only caps pathologically slow
+// but live workloads.
+const replayMaxCycles = 50_000_000
 
-// Validate checks endpoints against the host count and that the
-// dependency graph is acyclic, so the replay can always make progress.
+// Validate checks r as SetReplay does: endpoints against the host count,
+// sizes, phases, dependency indices, and that the dependency graph is
+// acyclic, so the replay can always make progress.
 func (r *Replay) Validate(hosts int) error {
-	n := len(r.Messages)
-	if n == 0 {
-		return fmt.Errorf("netsim: replay %q has no messages", r.Name)
-	}
-	indeg := make([]int, n)
-	dependents := make([][]int32, n)
-	for i, m := range r.Messages {
-		if m.SrcHost < 0 || int(m.SrcHost) >= hosts || m.DstHost < 0 || int(m.DstHost) >= hosts {
-			return fmt.Errorf("netsim: replay message %d endpoints (%d -> %d) outside [0,%d)", i, m.SrcHost, m.DstHost, hosts)
-		}
-		if m.SrcHost == m.DstHost {
-			return fmt.Errorf("netsim: replay message %d sends host %d to itself", i, m.SrcHost)
-		}
-		if m.Flits < 1 {
-			return fmt.Errorf("netsim: replay message %d has %d flits", i, m.Flits)
-		}
-		if m.Phase < 0 || (len(r.Phases) > 0 && int(m.Phase) >= len(r.Phases)) {
-			return fmt.Errorf("netsim: replay message %d phase %d outside [0,%d)", i, m.Phase, len(r.Phases))
-		}
-		for _, dep := range m.Deps {
-			if dep < 0 || int(dep) >= n {
-				return fmt.Errorf("netsim: replay message %d depends on unknown message %d", i, dep)
-			}
-			indeg[i]++
-			dependents[dep] = append(dependents[dep], int32(i))
-		}
-	}
-	ready := make([]int32, 0, n)
-	for i, deg := range indeg {
-		if deg == 0 {
-			ready = append(ready, int32(i))
-		}
-	}
-	seen := 0
-	for len(ready) > 0 {
-		m := ready[len(ready)-1]
-		ready = ready[:len(ready)-1]
-		seen++
-		for _, dep := range dependents[m] {
-			indeg[dep]--
-			if indeg[dep] == 0 {
-				ready = append(ready, dep)
-			}
-		}
-	}
-	if seen != n {
-		return fmt.Errorf("netsim: replay %q dependency graph has a cycle", r.Name)
-	}
-	return nil
+	_, err := newReplayState(r, 1, hosts)
+	return err
 }
 
 // replayState is the runtime bookkeeping of one replayed workload,
@@ -115,11 +71,14 @@ type replayState struct {
 	makespan   int64     // last delivery cycle overall
 }
 
+// newReplayState is the one replay validator: it checks every message as
+// it builds the bookkeeping, then runs Kahn's algorithm over the
+// dependents lists it built, so a replay that cannot finish is refused.
 func newReplayState(r *Replay, packetFlits, hosts int) (*replayState, error) {
-	if err := r.Validate(hosts); err != nil {
-		return nil, err
-	}
 	n := len(r.Messages)
+	if n == 0 {
+		return nil, fmt.Errorf("netsim: replay %q has no messages", r.Name)
+	}
 	phases := len(r.Phases)
 	rs := &replayState{
 		r:          r,
@@ -129,21 +88,48 @@ func newReplayState(r *Replay, packetFlits, hosts int) (*replayState, error) {
 		dependents: make([][]int32, n),
 	}
 	for i, m := range r.Messages {
-		pk := (m.Flits + int32(packetFlits) - 1) / int32(packetFlits)
+		if m.SrcHost < 0 || int(m.SrcHost) >= hosts || m.DstHost < 0 || int(m.DstHost) >= hosts {
+			return nil, fmt.Errorf("netsim: replay message %d endpoints (%d -> %d) outside [0,%d)", i, m.SrcHost, m.DstHost, hosts)
+		}
+		if m.SrcHost == m.DstHost {
+			return nil, fmt.Errorf("netsim: replay message %d sends host %d to itself", i, m.SrcHost)
+		}
+		if m.Flits < 1 {
+			return nil, fmt.Errorf("netsim: replay message %d has %d flits", i, m.Flits)
+		}
+		if m.Phase < 0 || (len(r.Phases) > 0 && int(m.Phase) >= len(r.Phases)) {
+			return nil, fmt.Errorf("netsim: replay message %d phase %d outside [0,%d)", i, m.Phase, len(r.Phases))
+		}
+		for _, dep := range m.Deps {
+			if dep < 0 || int(dep) >= n {
+				return nil, fmt.Errorf("netsim: replay message %d depends on unknown message %d", i, dep)
+			}
+			rs.dependents[dep] = append(rs.dependents[dep], int32(i))
+		}
+		// ceil(Flits/packetFlits), which cannot overflow near MaxInt32.
+		pk := (m.Flits-1)/int32(packetFlits) + 1
 		rs.packets[i] = pk
 		rs.remaining[i] = pk
 		rs.unmet[i] = int32(len(m.Deps))
-		for _, dep := range m.Deps {
-			rs.dependents[dep] = append(rs.dependents[dep], int32(i))
-		}
-		if int(m.Phase) >= phases {
-			phases = int(m.Phase) + 1
-		}
-	}
-	for i := range r.Messages {
 		if rs.unmet[i] == 0 {
 			rs.ready = append(rs.ready, int32(i))
 		}
+		phases = max(phases, int(m.Phase)+1)
+	}
+	// Kahn's algorithm on a copy of the unmet counts: every message must
+	// eventually be released, or some dependency chain is a cycle.
+	unmet := slices.Clone(rs.unmet)
+	order := append(make([]int32, 0, n), rs.ready...)
+	for k := 0; k < len(order); k++ {
+		for _, dep := range rs.dependents[order[k]] {
+			unmet[dep]--
+			if unmet[dep] == 0 {
+				order = append(order, dep)
+			}
+		}
+	}
+	if len(order) != n {
+		return nil, fmt.Errorf("netsim: replay %q dependency graph has a cycle", r.Name)
 	}
 	rs.phaseEnd = make([]int64, phases)
 	for i := range rs.phaseEnd {
@@ -175,14 +161,6 @@ func (rs *replayState) onDeliver(mi int32, at int64) {
 }
 
 func (rs *replayState) completed() bool { return rs.done == len(rs.r.Messages) }
-
-// endCycle returns the run bound for this workload.
-func (rs *replayState) endCycle() int64 {
-	if rs.r.MaxCycles > 0 {
-		return rs.r.MaxCycles
-	}
-	return DefaultReplayMaxCycles
-}
 
 // fill populates the replay metrics of a Result.
 func (rs *replayState) fill(r *Result, cyc float64) {

@@ -603,7 +603,7 @@ func (s *Sim) start() (end, watchdog int64) {
 	s.wheel = &timingWheel{slots: make([][]wheelEv, horizon+1)}
 	end = s.cfg.WarmupCycles + s.cfg.MeasureCycles + s.cfg.DrainCycles
 	if s.rep != nil {
-		end = s.rep.endCycle()
+		end = replayMaxCycles
 	}
 	watchdog = s.cfg.WatchdogCycles
 	if watchdog <= 0 {
